@@ -1,35 +1,6 @@
-"""Optional numba acceleration.
+"""Acceleration flag: every kernel in this package is plain numpy.
 
-Hot kernels in this package come in two flavours: a loop kernel compiled
-with numba's @njit and a vectorized pure-numpy fallback.  The numpy path is
-selected either automatically (numba missing) or explicitly by setting the
-environment variable PHASEMIX_NO_NUMBA=1 before import.
+`perfbench/probes.py` reads USE_NUMBA for its environment record.
 """
 
-import os
-
-_DISABLED = os.environ.get("PHASEMIX_NO_NUMBA", "0").lower() in ("1", "true", "yes")
-
-if not _DISABLED:
-    try:
-        from numba import njit, prange
-
-        USE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        USE_NUMBA = False
-else:
-    USE_NUMBA = False
-
-if not USE_NUMBA:
-
-    def njit(*args, **kwargs):
-        # identity decorator, usable bare or with options
-        if args and callable(args[0]) and not kwargs:
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-    prange = range
+USE_NUMBA = False

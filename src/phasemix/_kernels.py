@@ -1,9 +1,7 @@
-"""Hot numeric kernels with numba and pure-numpy implementations.
+"""Hot numeric kernels, vectorized with numpy.
 
-Every public kernel mutates its first array argument in place.  The numba
-path is selected at import time unless PHASEMIX_NO_NUMBA is set (see
-`phasemix._accel`); both paths are exercised in the benchmark script and
-agree to round-off.
+The advection and diffusion kernels update their first array argument in
+place; the rasterizers return a new array.
 
 Advection uses a second-order MUSCL finite-volume update with the van Leer
 slope limiter, constant speed per grid line, and zero-gradient (outflow)
@@ -13,85 +11,13 @@ boundaries.
 
 import numpy as np
 
-from ._accel import USE_NUMBA, njit, prange
-
 __all__ = ["advect_x", "advect_p", "diffuse",
            "rasterize_density", "rasterize_phase"]
 
 _TINY = 1e-300
 
 
-@njit(cache=True)
-def _advect_line_numba(u, a, h, dt, buf_s, buf_f):
-    # u: padded line with two ghost cells each side (n + 4 entries)
-    n = u.size - 4
-    c = a * dt / h
-    # van Leer limited slope for cells 1 .. n+2 (buf_s index shifted by 1)
-    for i in range(1, n + 3):
-        dl = u[i] - u[i - 1]
-        dr = u[i + 1] - u[i]
-        prod = dl * dr
-        buf_s[i - 1] = 2.0 * prod / (dl + dr + _TINY) if prod > 0.0 else 0.0
-    # upwind fluxes at the n + 1 interfaces bounding the interior cells
-    if a >= 0.0:
-        for k in range(n + 1):
-            buf_f[k] = a * (u[k + 1] + 0.5 * (1.0 - c) * buf_s[k])
-    else:
-        for k in range(n + 1):
-            buf_f[k] = a * (u[k + 2] - 0.5 * (1.0 + c) * buf_s[k + 1])
-    for i in range(n):
-        u[i + 2] -= (dt / h) * (buf_f[i + 1] - buf_f[i])
-
-
-@njit(cache=True)
-def _advect_x_numba(vals, speeds, h, dt):
-    n, m = vals.shape
-    u = np.empty(n + 4)
-    buf_s = np.empty(n + 2)
-    buf_f = np.empty(n + 1)
-    for j in range(m):
-        for i in range(n):
-            u[i + 2] = vals[i, j]
-        u[0] = u[1] = vals[0, j]
-        u[n + 2] = u[n + 3] = vals[n - 1, j]
-        _advect_line_numba(u, speeds[j], h, dt, buf_s, buf_f)
-        for i in range(n):
-            vals[i, j] = u[i + 2]
-
-
-@njit(cache=True)
-def _advect_p_numba(vals, speeds, h, dt):
-    n, m = vals.shape
-    u = np.empty(m + 4)
-    buf_s = np.empty(m + 2)
-    buf_f = np.empty(m + 1)
-    for i in range(n):
-        for j in range(m):
-            u[j + 2] = vals[i, j]
-        u[0] = u[1] = vals[i, 0]
-        u[m + 2] = u[m + 3] = vals[i, m - 1]
-        _advect_line_numba(u, speeds[i], h, dt, buf_s, buf_f)
-        for j in range(m):
-            vals[i, j] = u[j + 2]
-
-
-@njit(cache=True)
-def _diffuse_numba(vals, rx, rp):
-    n, m = vals.shape
-    out = np.empty_like(vals)
-    for i in range(n):
-        im = i - 1 if i > 0 else 0
-        ip = i + 1 if i < n - 1 else n - 1
-        for j in range(m):
-            jm = j - 1 if j > 0 else 0
-            jp = j + 1 if j < m - 1 else m - 1
-            out[i, j] = (vals[i, j]
-                         + rx * (vals[ip, j] - 2.0 * vals[i, j] + vals[im, j])
-                         + rp * (vals[i, jp] - 2.0 * vals[i, j] + vals[i, jm]))
-    vals[:, :] = out
-
-
-def _advect_axis0_numpy(vals, speeds, h, dt):
+def _advect_axis0(vals, speeds, h, dt):
     # vals (n, m), speeds (m,): per-column constant speed along axis 0
     n = vals.shape[0]
     u = np.concatenate([vals[:1], vals[:1], vals, vals[-1:], vals[-1:]],
@@ -107,44 +33,23 @@ def _advect_axis0_numpy(vals, speeds, h, dt):
     vals -= (dt / h) * (f[1:] - f[:-1])
 
 
-def _advect_x_numpy(vals, speeds, h, dt):
-    _advect_axis0_numpy(vals, speeds, h, dt)
+def advect_x(vals, speeds, h, dt):
+    _advect_axis0(vals, speeds, h, dt)
 
 
-def _advect_p_numpy(vals, speeds, h, dt):
+def advect_p(vals, speeds, h, dt):
     tr = np.ascontiguousarray(vals.T)
-    _advect_axis0_numpy(tr, speeds, h, dt)
+    _advect_axis0(tr, speeds, h, dt)
     vals[:, :] = tr.T
 
 
-def _diffuse_numpy(vals, rx, rp):
+def diffuse(vals, rx, rp):
     padded = np.pad(vals, 1, mode="edge")
     vals += (rx * (padded[2:, 1:-1] - 2.0 * vals + padded[:-2, 1:-1])
              + rp * (padded[1:-1, 2:] - 2.0 * vals + padded[1:-1, :-2]))
 
 
-@njit(cache=True, parallel=True)
-def _rasterize_density_numba(x, weights, alphas, covs, hbar):
-    n = x.size
-    rho = np.zeros((n, n), dtype=np.complex128)
-    for k in range(weights.size):
-        w = weights[k]
-        mx, mp = alphas[k, 0], alphas[k, 1]
-        sxx, sxp, spp = covs[k, 0, 0], covs[k, 0, 1], covs[k, 1, 1]
-        spp_c = spp - sxp * sxp / sxx
-        norm = w / np.sqrt(2.0 * np.pi * sxx)
-        for i in prange(n):
-            for j in range(n):
-                u = 0.5 * (x[i] + x[j]) - mx
-                v = x[i] - x[j]
-                amp = norm * np.exp(-u * u / (2.0 * sxx)
-                                    - spp_c * v * v / (2.0 * hbar * hbar))
-                ph = (mp + (sxp / sxx) * u) * v / hbar
-                rho[i, j] += amp * (np.cos(ph) + 1j * np.sin(ph))
-    return rho
-
-
-def _rasterize_density_numpy(x, weights, alphas, covs, hbar):
+def rasterize_density(x, weights, alphas, covs, hbar):
     n = x.size
     rho = np.zeros((n, n), dtype=np.complex128)
     u0 = 0.5 * (x[:, None] + x[None, :])
@@ -161,26 +66,7 @@ def _rasterize_density_numpy(x, weights, alphas, covs, hbar):
     return rho
 
 
-@njit(cache=True, parallel=True)
-def _rasterize_phase_numba(x, p, weights, alphas, covs):
-    nx, npp = x.size, p.size
-    vals = np.zeros((nx, npp))
-    for k in range(weights.size):
-        mx, mp = alphas[k, 0], alphas[k, 1]
-        sxx, sxp, spp = covs[k, 0, 0], covs[k, 0, 1], covs[k, 1, 1]
-        det = sxx * spp - sxp * sxp
-        norm = weights[k] / (2.0 * np.pi * np.sqrt(det))
-        for i in prange(nx):
-            dx = x[i] - mx
-            for j in range(npp):
-                dp = p[j] - mp
-                q = (spp * dx * dx - 2.0 * sxp * dx * dp
-                     + sxx * dp * dp) / det
-                vals[i, j] += norm * np.exp(-0.5 * q)
-    return vals
-
-
-def _rasterize_phase_numpy(x, p, weights, alphas, covs):
+def rasterize_phase(x, p, weights, alphas, covs):
     vals = np.zeros((x.size, p.size))
     for k in range(weights.size):
         dx = (x - alphas[k, 0])[:, None]
@@ -190,17 +76,3 @@ def _rasterize_phase_numpy(x, p, weights, alphas, covs):
         q = (spp * dx**2 - 2.0 * sxp * dx * dp + sxx * dp**2) / det
         vals += weights[k] / (2.0 * np.pi * np.sqrt(det)) * np.exp(-0.5 * q)
     return vals
-
-
-if USE_NUMBA:
-    advect_x = _advect_x_numba
-    advect_p = _advect_p_numba
-    diffuse = _diffuse_numba
-    rasterize_density = _rasterize_density_numba
-    rasterize_phase = _rasterize_phase_numba
-else:
-    advect_x = _advect_x_numpy
-    advect_p = _advect_p_numpy
-    diffuse = _diffuse_numpy
-    rasterize_density = _rasterize_density_numpy
-    rasterize_phase = _rasterize_phase_numpy

@@ -15,15 +15,14 @@ import sys
 import numpy as np
 
 from .config import load_config
-from .fokker_planck import evolve_fokker_planck, gaussian_phase_field
-from .gaussian import GaussianState
+from .fokker_planck import evolve_fokker_planck
 from .harmonic_error import harmonic_error_report
-from .harness import (emit_plots, run_breakdown_demo, run_comparison,
-                      _classical_dt, _initial_mixture, _phase_grid)
+from .harness import (Experiment, emit_plots, run_breakdown_demo,
+                      run_comparison, write_csv)
 from .langevin import evolve_langevin_ensemble, sample_gaussian_ensemble
-from .lindblad import evolve_lindblad, gaussian_to_grid
-from .mixture import effective_z, evolve_mixture
-from .scales import (compute_scales, ehrenfest_time, physical_example_time,
+from .lindblad import evolve_lindblad
+from .mixture import evolve_mixture
+from .scales import (ehrenfest_time, physical_example_time, step_schedule,
                      theorem_epsilon)
 
 __all__ = ["main"]
@@ -64,12 +63,9 @@ def _out_dir(cfg):
     return out
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+def _save(out, name, header, rows):
+    path = os.path.join(out, name)
+    write_csv(path, header, rows)
     print(f"wrote {path}")
 
 
@@ -85,15 +81,9 @@ def _moment_rows(snapshots):
 _MOMENT_HEADER = ["time", "mean_x", "mean_p", "cov_xx", "cov_xp", "cov_pp"]
 
 
-def _snap_times(cfg):
-    return [cfg.t_final * k / cfg.snapshots
-            for k in range(1, cfg.snapshots + 1)]
-
-
 def cmd_scales(args):
     cfg = _load(args)
-    model = cfg.build_model()
-    rep = compute_scales(model, cfg.build_diffusion(model))
+    rep = Experiment.from_config(cfg).scales
     s_h = math.inf if rep.harmonic else rep.s_H
     z = math.inf if rep.z_infinite else rep.z
     eps = theorem_epsilon(rep, cfg.t_final, 1, cfg.z_cap) \
@@ -102,84 +92,61 @@ def cmd_scales(args):
                     ("x_H", rep.x_H), ("p_H", rep.p_H), ("D0", rep.d0),
                     ("z", z), (f"epsilon(t={cfg.t_final})", eps)]:
         print(f"{name:>20s}  {v!r}")
-    _write_csv(os.path.join(_out_dir(cfg), "scales.csv"),
-               ["tau_H", "a_H", "s_H", "x_H", "p_H", "D0", "z", "epsilon_t"],
-               [(rep.tau_H, rep.a_H, s_h, rep.x_H, rep.p_H, rep.d0, z, eps)])
+    _save(_out_dir(cfg), "scales.csv",
+          ["tau_H", "a_H", "s_H", "x_H", "p_H", "D0", "z", "epsilon_t"],
+          [(rep.tau_H, rep.a_H, s_h, rep.x_H, rep.p_H, rep.d0, z, eps)])
     return 0
 
 
 def cmd_evolve_quantum(args):
     cfg = _load(args)
-    model = cfg.build_model()
-    diffusion = cfg.build_diffusion(model)
-    rep = compute_scales(model, diffusion)
-    state0 = GaussianState([cfg.x0, cfg.p0], rep.sigma_star, cfg.hbar)
-    rho0 = gaussian_to_grid(state0, cfg.mass, cfg.n_grid, cfg.x_min,
-                            cfg.x_max)
-    traj = evolve_lindblad(rho0, model, diffusion, cfg.t_final,
-                           cfg.dt_quantum or rep.tau_H / 500.0,
-                           snapshot_times=_snap_times(cfg),
+    exp = Experiment.from_config(cfg)
+    traj = evolve_lindblad(exp.rho0(), exp.model, exp.diffusion, cfg.t_final,
+                           exp.dt_quantum, snapshot_times=exp.snapshot_times,
                            edge_tol=cfg.edge_tol)
     rows = [r + (float(g.purity()),)
             for r, (_, g) in zip(_moment_rows(traj), traj)]
-    _write_csv(os.path.join(_out_dir(cfg), "quantum.csv"),
-               _MOMENT_HEADER + ["purity"], rows)
+    _save(_out_dir(cfg), "quantum.csv", _MOMENT_HEADER + ["purity"], rows)
     return 0
 
 
 def cmd_evolve_classical(args):
     cfg = _load(args)
-    model = cfg.build_model()
-    diffusion = cfg.build_diffusion(model)
-    rep = compute_scales(model, diffusion)
-    xg, pg = _phase_grid(cfg, rep)
-    f0 = gaussian_phase_field([cfg.x0, cfg.p0], rep.sigma_star, xg, pg)
-    dt = cfg.dt_classical or _classical_dt(f0, model, diffusion,
-                                           rep.tau_H / 100.0)
-    traj = evolve_fokker_planck(f0, model, diffusion, cfg.t_final, dt,
-                                snapshot_times=_snap_times(cfg))
+    exp = Experiment.from_config(cfg)
+    traj = evolve_fokker_planck(exp.f0(), exp.model, exp.diffusion,
+                                cfg.t_final, exp.dt_classical,
+                                snapshot_times=exp.snapshot_times)
     rows = [r + (float(f.mass()),)
             for r, (_, f) in zip(_moment_rows(traj), traj)]
-    _write_csv(os.path.join(_out_dir(cfg), "classical.csv"),
-               _MOMENT_HEADER + ["mass"], rows)
+    _save(_out_dir(cfg), "classical.csv", _MOMENT_HEADER + ["mass"], rows)
     return 0
 
 
 def cmd_evolve_langevin(args):
     cfg = _load(args)
-    model = cfg.build_model()
-    diffusion = cfg.build_diffusion(model)
-    rep = compute_scales(model, diffusion)
-    ens = sample_gaussian_ensemble([cfg.x0, cfg.p0], rep.sigma_star,
+    exp = Experiment.from_config(cfg)
+    ens = sample_gaussian_ensemble([cfg.x0, cfg.p0], exp.scales.sigma_star,
                                    cfg.samples, cfg.seed)
-    dt = cfg.dt_classical or rep.tau_H / 200.0
-    rows = []
-    t_prev = 0.0
-    mean, cov = ens.moments()
-    rows.append((0.0, float(mean[0]), float(mean[1]), float(cov[0, 0]),
-                 float(cov[0, 1]), float(cov[1, 1])))
-    for t in _snap_times(cfg):
-        ens = evolve_langevin_ensemble(ens, model, diffusion, t - t_prev, dt)
-        t_prev = t
-        mean, cov = ens.moments()
-        rows.append((float(t), float(mean[0]), float(mean[1]),
-                     float(cov[0, 0]), float(cov[0, 1]), float(cov[1, 1])))
-    _write_csv(os.path.join(_out_dir(cfg), "langevin.csv"), _MOMENT_HEADER,
-               rows)
+    _, dt, steps = step_schedule(
+        cfg.t_final, cfg.dt_classical or exp.scales.tau_H / 200.0,
+        exp.snapshot_times)
+    traj = [(0.0, ens)]
+    done = 0
+    for k in sorted(steps):
+        ens = evolve_langevin_ensemble(ens, exp.model, exp.diffusion,
+                                       (k - done) * dt, dt)
+        traj.append((k * dt, ens))
+        done = k
+    _save(_out_dir(cfg), "langevin.csv", _MOMENT_HEADER, _moment_rows(traj))
     return 0
 
 
 def cmd_evolve_mixture(args):
     cfg = _load(args)
-    model = cfg.build_model()
-    diffusion = cfg.build_diffusion(model)
-    rep = compute_scales(model, diffusion)
-    z = effective_z(rep, cfg.z_cap)
-    ens0 = _initial_mixture(cfg, rep, z)
-    traj = evolve_mixture(ens0, model, diffusion, cfg.t_final,
-                          cfg.dt_mixture or rep.tau_H / 200.0,
-                          blur_cap=cfg.blur_cap,
-                          snapshot_times=_snap_times(cfg))
+    exp = Experiment.from_config(cfg)
+    traj = evolve_mixture(exp.mixture0(), exp.model, exp.diffusion,
+                          cfg.t_final, exp.dt_mixture, blur_cap=cfg.blur_cap,
+                          snapshot_times=exp.snapshot_times)
     rows = []
     for t, ens in traj:
         w = ens.weights
@@ -191,32 +158,32 @@ def cmd_evolve_mixture(args):
                      float(cov[0, 0]), float(cov[0, 1]), float(cov[1, 1]),
                      float(ens.squeeze_eigenvalues().max()),
                      int(ens.diagnostics.get("spill_count", 0))))
-    _write_csv(os.path.join(_out_dir(cfg), "mixture.csv"),
-               _MOMENT_HEADER + ["max_squeeze", "spill_count"], rows)
+    _save(_out_dir(cfg), "mixture.csv",
+          _MOMENT_HEADER + ["max_squeeze", "spill_count"], rows)
     return 0
 
 
 def cmd_harmonic_error(args):
     cfg = _load(args)
-    model = cfg.build_model()
-    rep = compute_scales(model, cfg.build_diffusion(model))
+    exp = Experiment.from_config(cfg)
     hbar = cfg.hbar
     rows = []
     for factor in (0.5, 1.0, 2.0, 4.0):
-        s = rep.sigma_star[0, 0] * factor
+        s = exp.scales.sigma_star[0, 0] * factor
         sigma = np.diag([s, hbar**2 / (4.0 * s)])
         sx, sp = np.sqrt(sigma[0, 0]), np.sqrt(sigma[1, 1])
         x = np.linspace(cfg.x0 - 8 * sx, cfg.x0 + 8 * sx, 512)
         p = np.linspace(cfg.p0 - 8 * sp, cfg.p0 + 8 * sp, 512)
-        r = harmonic_error_report([cfg.x0, cfg.p0], sigma, model, hbar, x, p)
+        r = harmonic_error_report([cfg.x0, cfg.p0], sigma, exp.model, hbar,
+                                  x, p)
         rows.append((float(cfg.x0), float(s), r.bound_quantum,
                      r.bound_classical, r.numeric_quantum,
                      r.numeric_classical, r.ratio_quantum,
                      r.ratio_classical))
-    _write_csv(os.path.join(_out_dir(cfg), "harmonic_error.csv"),
-               ["alpha_x", "sigma_xx", "bound_quantum", "bound_classical",
-                "numeric_quantum", "numeric_classical", "ratio_quantum",
-                "ratio_classical"], rows)
+    _save(_out_dir(cfg), "harmonic_error.csv",
+          ["alpha_x", "sigma_xx", "bound_quantum", "bound_classical",
+           "numeric_quantum", "numeric_classical", "ratio_quantum",
+           "ratio_classical"], rows)
     return 0
 
 
@@ -263,8 +230,7 @@ def cmd_physical_example(args):
     elif getattr(args, "out", None):
         out = args.out
         os.makedirs(out, exist_ok=True)
-    _write_csv(os.path.join(out, "physical_example.csv"),
-               ["quantity", "seconds"], rows)
+    _save(out, "physical_example.csv", ["quantity", "seconds"], rows)
     return 0
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .gaussian import gaussian_pdf
 from .potentials import HamiltonianModel
-from .scales import DiffusionSpec
+from .scales import DiffusionSpec, step_schedule
 from . import _kernels
 
 __all__ = [
@@ -117,24 +117,32 @@ class CFLError(ValueError):
             f"suggested dt = {self.suggested_dt:.3g}")
 
 
-def _cfl_limits(f: PhaseField, model: HamiltonianModel,
-                diffusion: DiffusionSpec):
-    vx = np.abs(f.p).max() / model.mass
-    vp = np.abs(model.potential.grad(f.x)).max()
+def cfl_limits(x: np.ndarray, p: np.ndarray, model: HamiltonianModel,
+               diffusion: DiffusionSpec):
+    """Largest stable (advection, diffusion) steps on the uniform (x, p)
+    grid of cell centres."""
+    dx, dp = float(x[1] - x[0]), float(p[1] - p[0])
+    vx = np.abs(p).max() / model.mass
+    vp = np.abs(model.potential.grad(x)).max()
     adv = math.inf
     if vx > 0:
-        adv = min(adv, f.dx / vx)
+        adv = min(adv, dx / vx)
     if vp > 0:
-        adv = min(adv, f.dp / vp)
+        adv = min(adv, dp / vp)
     diff = math.inf
     if diffusion.d_x > 0:
-        diff = min(diff, f.dx**2 / (0.5 * diffusion.d_x))
+        diff = min(diff, dx**2 / (0.5 * diffusion.d_x))
     if diffusion.d_p > 0:
-        diff = min(diff, f.dp**2 / (0.5 * diffusion.d_p))
+        diff = min(diff, dp**2 / (0.5 * diffusion.d_p))
     # advection limit is Courant <= 1 per half-step pair; explicit
     # diffusion of the (D/2)-Laplacian needs (D/2) dt / h^2 <= 1/2,
     # with a safety margin
     return adv, 0.45 * diff
+
+
+def _cfl_limits(f: PhaseField, model: HamiltonianModel,
+                diffusion: DiffusionSpec):
+    return cfl_limits(f.x, f.p, model, diffusion)
 
 
 def evolve_fokker_planck(f0: PhaseField, model: HamiltonianModel,
@@ -145,25 +153,18 @@ def evolve_fokker_planck(f0: PhaseField, model: HamiltonianModel,
     Returns a list of (t, PhaseField) snapshots (t = 0 included).  Aborts
     when outflow through the boundary exceeds `leak_tol` of the mass.
     """
+    n_steps, dt, snap_steps = step_schedule(t_final, dt, snapshot_times)
     adv_max, diff_max = _cfl_limits(f0, model, diffusion)
     if dt > adv_max:
         raise CFLError("advection", dt, adv_max)
     if dt > diff_max:
         raise CFLError("diffusion", dt, diff_max)
 
-    n_steps = max(int(round(t_final / dt)), 1)
-    dt = t_final / n_steps
-    snaps = sorted(snapshot_times) if snapshot_times else [t_final]
-    snap_steps = {max(int(round(t / dt)), 0) for t in snaps}
-
     vals = np.ascontiguousarray(f0.values.copy())
     speed_x = f0.p / model.mass                 # row speed, constant per j
     speed_p = -np.asarray(model.potential.grad(f0.x), dtype=float)
     mass0 = vals.sum()
-    out = [(0.0, PhaseField(f0.x, f0.p, vals.copy()))] if 0 in snap_steps \
-        else []
-    if not out:
-        out = [(0.0, PhaseField(f0.x, f0.p, vals.copy()))]
+    out = [(0.0, PhaseField(f0.x, f0.p, vals.copy()))]
 
     for step in range(1, n_steps + 1):
         _kernels.advect_x(vals, speed_x, f0.dx, 0.5 * dt)

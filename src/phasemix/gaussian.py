@@ -251,27 +251,3 @@ def random_pure_cov(d: int, hbar: float, a_H: float,
     s = random_symplectic(d, rng, scale)
     return s @ sigma_star(a_H, hbar, d) @ s.T
 
-
-def project_symplectic_whitened(sig_t: np.ndarray, max_iter: int = 3,
-                                tol: float = 1e-12):
-    """Project a near-symplectic symmetric matrix onto the symplectic set.
-
-    Uses the averaging iteration sig <- (sig + Omega^T sig^-1 Omega)/2, whose
-    fixed points are exactly the symmetric positive symplectic matrices and
-    which converges quadratically near the manifold.  For d = 1 this is
-    equivalent to determinant normalization.  Returns (projected, defect
-    before projection, displacement).
-    """
-    sig_t = np.asarray(sig_t, dtype=float)
-    n = sig_t.shape[0]
-    omega = symplectic_form(n // 2)
-    before = np.abs(sig_t @ omega @ sig_t - omega).max()
-    out = sig_t
-    if n == 2:
-        out = sig_t / np.sqrt(np.linalg.det(sig_t))
-    else:
-        for _ in range(max_iter):
-            out = 0.5 * (out + omega.T @ np.linalg.inv(out) @ omega)
-            if np.abs(out @ omega @ out - omega).max() < tol:
-                break
-    return out, before, np.abs(out - sig_t).max()

@@ -1,9 +1,12 @@
 """Experiment orchestration: run the three dynamics side by side.
 
-`run_comparison` evolves the same initial coherent state three ways — the
-grid master-equation solver, the phase-space Fokker-Planck solver, and the
-Gaussian-mixture trajectory — and compares the mixture to both references
-against the error budget epsilon(t).  `run_breakdown_demo` contrasts a
+`Experiment.from_config` builds the setup every run shares (model,
+diffusion, scales, snapshot times, step sizes, phase grid); the harness
+and the CLI both start from it.  `run_comparison` evolves the same initial
+coherent state three ways — the grid master-equation solver, the
+phase-space Fokker-Planck solver, and the Gaussian-mixture trajectory —
+and compares the mixture to both references against the error budget
+epsilon(t) at the same snapshot times.  `run_breakdown_demo` contrasts a
 noiseless run with a diffusive run of the same model and records Wigner
 negativity.  `emit_plots` writes deterministic CSV/summary/plot-script
 artifacts for either report.
@@ -11,23 +14,24 @@ artifacts for either report.
 
 import os
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from .config import ExperimentConfig
-from .fokker_planck import (PhaseField, evolve_fokker_planck,
+from .fokker_planck import (PhaseField, cfl_limits, evolve_fokker_planck,
                             gaussian_phase_field, l1_distance)
 from .gaussian import GaussianState
-from .lindblad import (evolve_lindblad, gaussian_to_grid, trace_distance,
-                       wigner_transform_grid)
+from .lindblad import (DensityMatrixGrid, evolve_lindblad, gaussian_to_grid,
+                       trace_distance, wigner_transform_grid)
 from .mixture import (MixtureEnsemble, effective_z, evolve_mixture,
                       mixture_to_density_grid, mixture_to_phase_field)
+from .potentials import HamiltonianModel
 from .scales import (DiffusionSpec, ScaleReport, compute_scales,
                      ehrenfest_time, theorem_epsilon)
 
-__all__ = ["ComparisonReport", "BreakdownReport", "run_comparison",
-           "run_breakdown_demo", "emit_plots"]
+__all__ = ["Experiment", "ComparisonReport", "BreakdownReport",
+           "run_comparison", "run_breakdown_demo", "write_csv", "emit_plots"]
 
 
 @dataclass
@@ -62,87 +66,112 @@ class BreakdownReport:
     ehrenfest_estimate: float
 
 
-def _snapshot_times(cfg: ExperimentConfig) -> List[float]:
-    # t = 0 is excluded: the budget epsilon(0) = 0 admits no solver error
-    return [cfg.t_final * k / cfg.snapshots for k in range(1, cfg.snapshots + 1)]
+@dataclass
+class Experiment:
+    """One experiment's shared setup, built once from its config.
 
+    Holds the model, diffusion, scales, snapshot times, the step size each
+    solver is asked for (`dt_quantum`, `dt_classical`, `dt_mixture`) and
+    the phase-grid cell centres `x`, `p`.  The squeeze bound `z` and the
+    initial states are built only on request: `z` rejects a D0 = 0 config
+    without `z_cap`, and the states are N x N arrays.
+    """
 
-def _phase_grid(cfg: ExperimentConfig, scales: ScaleReport):
-    x = cfg.x_min + (cfg.x_max - cfg.x_min) \
-        * (np.arange(cfg.n_phase) + 0.5) / cfg.n_phase
-    if cfg.p_min is not None:
-        lo, hi = cfg.p_min, cfg.p_max
-    else:
+    cfg: ExperimentConfig
+    model: HamiltonianModel
+    diffusion: DiffusionSpec
+    scales: ScaleReport
+    snapshot_times: List[float]
+    dt_quantum: float
+    dt_classical: float
+    dt_mixture: float
+    x: np.ndarray
+    p: np.ndarray
+
+    @classmethod
+    def from_config(cls, cfg: ExperimentConfig) -> "Experiment":
         model = cfg.build_model()
-        v = model.potential.value(np.linspace(cfg.x_min, cfg.x_max, 512))
-        p_half = (np.sqrt(2.0 * model.mass * (v.max() - v.min()))
-                  + abs(cfg.p0) + 6.0 * np.sqrt(scales.sigma_star[1, 1])
-                  + np.sqrt(cfg.d_p * cfg.t_final))
-        lo, hi = -p_half, p_half
-    p = lo + (hi - lo) * (np.arange(cfg.n_phase) + 0.5) / cfg.n_phase
-    return x, p
+        diffusion = cfg.build_diffusion(model)
+        scales = compute_scales(model, diffusion)
+        # t = 0 is excluded: the budget epsilon(0) = 0 admits no solver error
+        snaps = [cfg.t_final * k / cfg.snapshots
+                 for k in range(1, cfg.snapshots + 1)]
+        x = cfg.x_min + (cfg.x_max - cfg.x_min) \
+            * (np.arange(cfg.n_phase) + 0.5) / cfg.n_phase
+        if cfg.p_min is not None:
+            lo, hi = cfg.p_min, cfg.p_max
+        else:
+            v = model.potential.value(np.linspace(cfg.x_min, cfg.x_max, 512))
+            p_half = (np.sqrt(2.0 * model.mass * (v.max() - v.min()))
+                      + abs(cfg.p0) + 6.0 * np.sqrt(scales.sigma_star[1, 1])
+                      + np.sqrt(cfg.d_p * cfg.t_final))
+            lo, hi = -p_half, p_half
+        p = lo + (hi - lo) * (np.arange(cfg.n_phase) + 0.5) / cfg.n_phase
+        adv_max, diff_max = cfl_limits(x, p, model, diffusion)
+        dt_classical = cfg.dt_classical or min(
+            scales.tau_H / 100.0, 0.8 * adv_max, 0.8 * diff_max)
+        return cls(cfg, model, diffusion, scales, snaps,
+                   cfg.dt_quantum or scales.tau_H / 500.0, dt_classical,
+                   cfg.dt_mixture or scales.tau_H / 200.0, x, p)
 
+    @property
+    def z(self) -> float:
+        return effective_z(self.scales, self.cfg.z_cap)
 
-def _initial_mixture(cfg: ExperimentConfig, scales: ScaleReport,
-                     z: float) -> MixtureEnsemble:
-    m = cfg.particles
-    return MixtureEnsemble(
-        weights=np.full(m, 1.0 / m),
-        alphas=np.tile([cfg.x0, cfg.p0], (m, 1)),
-        covs=np.tile(scales.sigma_star, (m, 1, 1)),
-        blurs=np.zeros((m, 2, 2)),
-        scales=scales, z_eff=z, seed=cfg.seed)
+    def rho0(self) -> DensityMatrixGrid:
+        cfg = self.cfg
+        state0 = GaussianState([cfg.x0, cfg.p0], self.scales.sigma_star,
+                               cfg.hbar)
+        return gaussian_to_grid(state0, cfg.mass, cfg.n_grid, cfg.x_min,
+                                cfg.x_max)
 
+    def f0(self) -> PhaseField:
+        return gaussian_phase_field([self.cfg.x0, self.cfg.p0],
+                                    self.scales.sigma_star, self.x, self.p)
 
-def _classical_dt(f0, model, diffusion, dt_request):
-    from .fokker_planck import _cfl_limits
-    adv_max, diff_max = _cfl_limits(f0, model, diffusion)
-    return min(dt_request, 0.8 * adv_max, 0.8 * diff_max)
+    def mixture0(self) -> MixtureEnsemble:
+        m = self.cfg.particles
+        return MixtureEnsemble(
+            weights=np.full(m, 1.0 / m),
+            alphas=np.tile([self.cfg.x0, self.cfg.p0], (m, 1)),
+            covs=np.tile(self.scales.sigma_star, (m, 1, 1)),
+            blurs=np.zeros((m, 2, 2)),
+            scales=self.scales, z_eff=self.z, seed=self.cfg.seed)
 
 
 def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
     """Evolve quantum / classical / mixture and compare against epsilon(t)."""
-    model = cfg.build_model()
-    diffusion = cfg.build_diffusion(model)
-    scales = compute_scales(model, diffusion)
-    z = effective_z(scales, cfg.z_cap)  # rejects D0 = 0 without a cap
+    exp = Experiment.from_config(cfg)
+    scales, snaps = exp.scales, exp.snapshot_times
+    ens0 = exp.mixture0()  # rejects D0 = 0 without a cap
     bound_applicable = not scales.harmonic and not scales.z_infinite
 
-    snaps = _snapshot_times(cfg)
-    dt_mix = cfg.dt_mixture or scales.tau_H / 200.0
-    dt_q = cfg.dt_quantum or scales.tau_H / 500.0
-
-    state0 = GaussianState([cfg.x0, cfg.p0], scales.sigma_star, cfg.hbar)
-    rho0 = gaussian_to_grid(state0, cfg.mass, cfg.n_grid, cfg.x_min,
-                            cfg.x_max)
-    q_traj = evolve_lindblad(rho0, model, diffusion, cfg.t_final, dt_q,
+    q_traj = evolve_lindblad(exp.rho0(), exp.model, exp.diffusion,
+                             cfg.t_final, exp.dt_quantum,
                              snapshot_times=snaps, edge_tol=cfg.edge_tol)
-
-    xg, pg = _phase_grid(cfg, scales)
-    f0 = gaussian_phase_field([cfg.x0, cfg.p0], scales.sigma_star, xg, pg)
-    dt_cl = cfg.dt_classical or _classical_dt(f0, model, diffusion,
-                                              scales.tau_H / 100.0)
-    c_traj = evolve_fokker_planck(f0, model, diffusion, cfg.t_final, dt_cl,
+    c_traj = evolve_fokker_planck(exp.f0(), exp.model, exp.diffusion,
+                                  cfg.t_final, exp.dt_classical,
                                   snapshot_times=snaps)
+    m_traj = evolve_mixture(ens0, exp.model, exp.diffusion, cfg.t_final,
+                            exp.dt_mixture, blur_cap=cfg.blur_cap,
+                            snapshot_times=snaps)
 
-    ens0 = _initial_mixture(cfg, scales, z)
-    m_traj = evolve_mixture(ens0, model, diffusion, cfg.t_final, dt_mix,
-                            blur_cap=cfg.blur_cap, snapshot_times=snaps)
-
-    if not len(q_traj) == len(c_traj) == len(m_traj) == len(snaps) + 1:
-        raise RuntimeError("solver snapshot counts disagree; choose dt "
-                           "values that resolve every snapshot time")
     times, tds, l1s, epss, passes = [], [], [], [], []
     max_squeeze = 0.0
     diagnostics = {}
-    # zip positionally: each solver rounds snapshot times to its own step
+    # pair the snapshots by time: every solver must land on the same ones
+    for traj in (q_traj, c_traj):
+        if len(traj) != len(m_traj) or any(
+                abs(t - t_m) > 1e-9 * t_m
+                for (t, _), (t_m, _) in zip(traj, m_traj)):
+            raise RuntimeError("solver snapshot times disagree")
     for (t, ens), (_, g_q), (_, f_c) in zip(m_traj[1:], q_traj[1:],
                                             c_traj[1:]):
         grid_m = mixture_to_density_grid(ens, cfg.mass, cfg.n_grid,
                                          cfg.x_min, cfg.x_max)
         # cell-averaged raster: the finite-volume reference stores cell
         # averages, so point sampling would add a spurious O(dx^2) term
-        field_m = mixture_to_phase_field(ens, xg, pg, supersample=3)
+        field_m = mixture_to_phase_field(ens, exp.x, exp.p, supersample=3)
         td = trace_distance(grid_m, g_q)
         l1 = l1_distance(field_m, f_c)
         eps = theorem_epsilon(scales, t, 1, cfg.z_cap)
@@ -172,20 +201,15 @@ def run_breakdown_demo(cfg: ExperimentConfig) -> BreakdownReport:
     noise the state develops interference negativity after roughly the
     Ehrenfest time, while sufficient diffusion suppresses it throughout.
     """
-    model = cfg.build_model()
-    diffusion = cfg.build_diffusion(model)
-    scales = compute_scales(model, diffusion)
-    snaps = _snapshot_times(cfg)
-    dt_q = cfg.dt_quantum or scales.tau_H / 500.0
-
-    state0 = GaussianState([cfg.x0, cfg.p0], scales.sigma_star, cfg.hbar)
-    rho0 = gaussian_to_grid(state0, cfg.mass, cfg.n_grid, cfg.x_min,
-                            cfg.x_max)
-    free = evolve_lindblad(rho0, model, DiffusionSpec(0.0, 0.0, cfg.hbar),
-                           cfg.t_final, dt_q, snapshot_times=snaps,
+    exp = Experiment.from_config(cfg)
+    rho0 = exp.rho0()
+    free = evolve_lindblad(rho0, exp.model,
+                           DiffusionSpec(0.0, 0.0, cfg.hbar), cfg.t_final,
+                           exp.dt_quantum, snapshot_times=exp.snapshot_times,
                            edge_tol=cfg.edge_tol)
-    noisy = evolve_lindblad(rho0, model, diffusion, cfg.t_final, dt_q,
-                            snapshot_times=snaps, edge_tol=cfg.edge_tol)
+    noisy = evolve_lindblad(rho0, exp.model, exp.diffusion, cfg.t_final,
+                            exp.dt_quantum, snapshot_times=exp.snapshot_times,
+                            edge_tol=cfg.edge_tol)
 
     times, f_min, f_peak, d_min, d_peak = [], [], [], [], []
     for (t, gf), (_, gn) in zip(free, noisy):
@@ -199,8 +223,8 @@ def run_breakdown_demo(cfg: ExperimentConfig) -> BreakdownReport:
         d_min.append(lo)
         d_peak.append(hi)
     # crude instability-rate estimate 1/tau_H; harmonic models never bend
-    t_ehr = np.inf if scales.harmonic else \
-        ehrenfest_time(1.0 / scales.tau_H, scales.s_H, cfg.hbar)
+    t_ehr = np.inf if exp.scales.harmonic else \
+        ehrenfest_time(1.0 / exp.scales.tau_H, exp.scales.s_H, cfg.hbar)
     return BreakdownReport(times=times, free_min=f_min, free_peak=f_peak,
                            diffusive_min=d_min, diffusive_peak=d_peak,
                            ehrenfest_estimate=float(t_ehr))
@@ -211,12 +235,13 @@ def _write(path: str, text: str):
         fh.write(text)
 
 
-def _csv(header, rows) -> str:
+def write_csv(path: str, header, rows):
+    """Write `rows` under `header`; floats use repr, so values round-trip."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
                               for v in row))
-    return "\n".join(lines) + "\n"
+    _write(path, "\n".join(lines) + "\n")
 
 
 _PLOT_SCRIPT = """\
@@ -246,8 +271,8 @@ def emit_plots(report, out_dir: str) -> List[str]:
         csv_path = os.path.join(out_dir, "comparison.csv")
         rows = zip(report.times, report.trace_distances, report.l1_distances,
                    report.epsilons, report.passes)
-        _write(csv_path, _csv(["time", "trace_distance", "l1_distance",
-                               "epsilon_budget", "passed"], rows))
+        write_csv(csv_path, ["time", "trace_distance", "l1_distance",
+                             "epsilon_budget", "passed"], rows)
         summary = (f"bound_applicable: {report.bound_applicable}\n"
                    f"margin: {report.margin!r}\n"
                    f"max_squeeze: {report.max_squeeze!r}\n"
@@ -260,9 +285,9 @@ def emit_plots(report, out_dir: str) -> List[str]:
         csv_path = os.path.join(out_dir, "breakdown.csv")
         rows = zip(report.times, report.free_min, report.free_peak,
                    report.diffusive_min, report.diffusive_peak)
-        _write(csv_path, _csv(["time", "free_min_wigner", "free_peak_wigner",
-                               "diffusive_min_wigner",
-                               "diffusive_peak_wigner"], rows))
+        write_csv(csv_path, ["time", "free_min_wigner", "free_peak_wigner",
+                             "diffusive_min_wigner", "diffusive_peak_wigner"],
+                  rows)
         summary = f"ehrenfest_estimate: {report.ehrenfest_estimate!r}\n"
     summary_path = os.path.join(out_dir, "summary.txt")
     _write(summary_path, summary)

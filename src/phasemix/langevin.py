@@ -17,7 +17,7 @@ import numpy as np
 from .fokker_planck import PhaseField
 from .potentials import HamiltonianModel
 from .rng import stream_generator, stream_normals
-from .scales import DiffusionSpec
+from .scales import DiffusionSpec, step_schedule
 
 __all__ = [
     "LangevinEnsemble",
@@ -73,8 +73,7 @@ def evolve_langevin_ensemble(ens: LangevinEnsemble, model: HamiltonianModel,
     continuing a run in pieces reproduces the single-shot result exactly.
     """
     seed = ens.seed if seed is None else seed
-    n_steps = max(int(round(t_final / dt)), 1)
-    dt = t_final / n_steps
+    n_steps, dt, _ = step_schedule(t_final, dt)
     x = ens.x.copy()
     p = ens.p.copy()
     sx = math.sqrt(diffusion.d_x * dt)

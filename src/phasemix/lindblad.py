@@ -35,7 +35,7 @@ import scipy.fft as sfft
 from .fokker_planck import PhaseField
 from .gaussian import GaussianState, is_pure_gaussian
 from .potentials import HamiltonianModel
-from .scales import DiffusionSpec
+from .scales import DiffusionSpec, step_schedule
 
 __all__ = [
     "DensityMatrixGrid",
@@ -241,10 +241,7 @@ def evolve_lindblad(rho0: DensityMatrixGrid, model: HamiltonianModel,
     """
     if method not in ("split", "rk4"):
         raise ValueError("method must be 'split' or 'rk4'")
-    n_steps = max(int(round(t_final / dt)), 1)
-    dt = t_final / n_steps
-    snaps = sorted(snapshot_times) if snapshot_times else [t_final]
-    snap_steps = {max(int(round(t / dt)), 0) for t in snaps}
+    n_steps, dt, snap_steps = step_schedule(t_final, dt, snapshot_times)
 
     rho = rho0.rho.copy()
     out = [(0.0, DensityMatrixGrid(rho0.x, rho.copy(), rho0.hbar, rho0.mass))]

@@ -28,11 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fokker_planck import PhaseField
-from .gaussian import symplectic_form
 from .lindblad import DensityMatrixGrid
-from .potentials import HamiltonianModel, flow_vector, hamiltonian_matrix
+from .potentials import HamiltonianModel
 from .rng import stream_normals
-from .scales import DiffusionSpec, ScaleReport
+from .scales import DiffusionSpec, ScaleReport, step_schedule
 from . import _kernels
 
 __all__ = [
@@ -111,18 +110,13 @@ def split_sdot(alpha, sigma, model: HamiltonianModel,
     invariant; S_D is positive semidefinite on the window.
     """
     sigma = np.asarray(sigma, dtype=float)
-    st = whiten(sigma, scales)
-    lam = np.linalg.eigvalsh(st)
+    lam = np.linalg.eigvalsh(whiten(sigma, scales))
     if lam.min() < 1.0 / z - 1e-6 or lam.max() > z + 1e-6:
         raise ValueError("covariance is squeezed beyond the window "
                          f"[{1 / z:.4g}, {z:.4g}]: eigenvalues {lam}")
-    ft = whiten_f(hamiltonian_matrix(model, alpha), scales)
-    m = m_matrix(st, scales, z)
-    a = ft - m
-    sz_t = a @ st + st @ a.T
-    d_t = whiten(diffusion.matrix(model.dims), scales)
-    sd_t = d_t + m @ st + st @ m
-    return unwhiten(sz_t, scales), unwhiten(sd_t, scales)
+    sz, sd, _, _ = _batch_split_sdot(np.asarray(alpha, dtype=float)[None],
+                                     sigma[None], model, diffusion, scales, z)
+    return sz[0], sd[0]
 
 
 def _project_pure(sigma: np.ndarray, hbar: float):
@@ -156,13 +150,14 @@ def step_particle(alpha, sigma, model: HamiltonianModel,
     sigma = np.asarray(sigma, dtype=float)
 
     def deriv(a, s):
-        return flow_vector(model, a), split_sdot(a, s, model, diffusion,
-                                                 scales, z)[0]
+        sz, sd, flow, _ = _batch_split_sdot(a[None], s[None], model,
+                                            diffusion, scales, z)
+        return flow[0], sz[0], sd[0]
 
-    ka1, ks1 = deriv(alpha, sigma)
-    ka2, ks2 = deriv(alpha + 0.5 * dt * ka1, sigma + 0.5 * dt * ks1)
-    ka3, ks3 = deriv(alpha + 0.5 * dt * ka2, sigma + 0.5 * dt * ks2)
-    ka4, ks4 = deriv(alpha + dt * ka3, sigma + dt * ks3)
+    ka1, ks1, sd = deriv(alpha, sigma)
+    ka2, ks2, _ = deriv(alpha + 0.5 * dt * ka1, sigma + 0.5 * dt * ks1)
+    ka3, ks3, _ = deriv(alpha + 0.5 * dt * ka2, sigma + 0.5 * dt * ks2)
+    ka4, ks4, _ = deriv(alpha + dt * ka3, sigma + dt * ks3)
     alpha_new = alpha + (dt / 6.0) * (ka1 + 2 * ka2 + 2 * ka3 + ka4)
     sigma_new = sigma + (dt / 6.0) * (ks1 + 2 * ks2 + 2 * ks3 + ks4)
 
@@ -173,7 +168,6 @@ def step_particle(alpha, sigma, model: HamiltonianModel,
         raise RuntimeError(f"squeeze window violated by {violation:.3g} "
                            "after projection (dt too large?)")
 
-    _, sd = split_sdot(alpha, sigma, model, diffusion, scales, z)
     xi = _noise_sqrt(sd * dt) @ rng.standard_normal(alpha.size)
     info = {"defect_before": defect, "displacement": displacement,
             "nts_violation": violation}
@@ -249,14 +243,12 @@ def coherent_ensemble(alpha, scales: ScaleReport, seed: int,
 def _batch_split_sdot(alphas, covs, model, diffusion, scales, z):
     """Vectorized (S_Z, S_D, flow, F) over all particles (d = 1)."""
     m = alphas.shape[0]
-    s = _star_sqrt(scales)
-    w_out = np.outer(s, s)
     hess = np.atleast_1d(model.potential.hess(alphas[:, 0]))
     f = np.zeros((m, 2, 2))
     f[:, 0, 1] = 1.0 / model.mass
     f[:, 1, 0] = -hess
-    ft = f * (np.outer(1.0 / s, s))[None, :, :]
-    st = covs / w_out[None, :, :]
+    ft = whiten_f(f, scales)
+    st = whiten(covs, scales)
     # closed-form inverse of the symmetric 2x2 batch
     det = st[:, 0, 0] * st[:, 1, 1] - st[:, 0, 1] * st[:, 1, 0]
     inv = np.empty_like(st)
@@ -272,7 +264,7 @@ def _batch_split_sdot(alphas, covs, model, diffusion, scales, z):
     sd_t = d_t[None, :, :] + mm @ st + st @ mm
     grad = np.atleast_1d(model.potential.grad(alphas[:, 0]))
     flow = np.stack([alphas[:, 1] / model.mass, -grad], axis=1)
-    return sz_t * w_out[None, :, :], sd_t * w_out[None, :, :], flow, f
+    return unwhiten(sz_t, scales), unwhiten(sd_t, scales), flow, f
 
 
 def evolve_mixture(ens: MixtureEnsemble, model: HamiltonianModel,
@@ -296,10 +288,7 @@ def evolve_mixture(ens: MixtureEnsemble, model: HamiltonianModel,
     scales, z = ens.scales, ens.z_eff
     if blur_cap is None and model.sup3 > 0:
         blur_cap = 4.0
-    n_steps = max(int(round(t_final / dt)), 1)
-    dt = t_final / n_steps
-    snaps = sorted(snapshot_times) if snapshot_times else [t_final]
-    snap_steps = {max(int(round(t / dt)), 0) for t in snaps}
+    n_steps, dt, snap_steps = step_schedule(t_final, dt, snapshot_times)
 
     alphas = ens.alphas.copy()
     covs = ens.covs.copy()

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import symplectic_form
-
 __all__ = [
     "Potential",
     "Harmonic",
@@ -317,8 +315,3 @@ def hamiltonian_matrix(model: HamiltonianModel, alpha) -> np.ndarray:
     f[d:, :d] = -hess
     return f
 
-
-def hamiltonian_matrix_defect(f: np.ndarray) -> float:
-    """Max-norm of F^T Omega + Omega F (zero for Hamiltonian matrices)."""
-    omega = symplectic_form(f.shape[0] // 2)
-    return float(np.abs(f.T @ omega + omega @ f).max())

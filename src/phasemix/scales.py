@@ -33,6 +33,7 @@ __all__ = [
     "ThresholdError",
     "ehrenfest_time",
     "physical_example_time",
+    "step_schedule",
 ]
 
 
@@ -107,6 +108,28 @@ def compute_scales(model: HamiltonianModel,
         d0=d0, z=z, hbar=hbar, dims=model.dims,
         harmonic=harmonic, z_infinite=z_infinite,
         m_rate=drive / hbar, lyapunov=lyapunov)
+
+
+def step_schedule(t_final: float, dt: float, snapshot_times=None):
+    """Uniform time steps that land on every snapshot time.
+
+    Picks the smallest step count n >= t_final / dt (to 1e-9 relative) at
+    which every time in `snapshot_times` (default: t_final alone) falls on
+    a step, so the step t_final / n never exceeds the requested `dt`.
+    Returns (n, t_final / n, the set of snapshot step indices).  Raises
+    ValueError when no n up to twice the smallest candidate lands.
+    """
+    times = sorted(snapshot_times) if snapshot_times else [t_final]
+    if times[0] < 0.0 or times[-1] > t_final * (1.0 + 1e-9):
+        raise ValueError(f"snapshot times must lie in [0, {t_final!r}]")
+    n0 = max(math.ceil(t_final / dt * (1.0 - 1e-9)), 1)
+    for n in range(n0, 2 * n0 + 1):
+        steps = [round(t * n / t_final) for t in times]
+        if all(abs(k * t_final / n - t) <= 1e-9 * t
+               for k, t in zip(steps, times)):
+            return n, t_final / n, set(steps)
+    raise ValueError(f"no step count in [{n0}, {2 * n0}] lands on every "
+                     f"snapshot time {times}")
 
 
 def theorem_epsilon(scales: ScaleReport, t: float, d: int,

@@ -49,22 +49,6 @@ ANHARMONIC = [
 ]
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _warm_kernels():
-    """Trigger kernel compilation once so timed tests measure compute."""
-    from phasemix import _kernels
-    x = np.linspace(-1.0, 1.0, 8)
-    w = np.ones(1)
-    al = np.zeros((1, 2))
-    cv = np.tile(0.1 * np.eye(2), (1, 1, 1))
-    _kernels.rasterize_density(x, w, al, cv, 1.0)
-    _kernels.rasterize_phase(x, x, w, al, cv)
-    vals = np.ones((8, 8))
-    _kernels.advect_x(vals, np.full(8, 0.1), 0.25, 0.1)
-    _kernels.advect_p(vals, np.full(8, 0.1), 0.25, 0.1)
-    _kernels.diffuse(vals, 0.1, 0.1)
-
-
 @pytest.fixture
 def emit(capsys):
     def _emit(line):

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from phasemix import harness
 from phasemix.cli import main
 from phasemix.config import (ExperimentConfig, parse_config, serialize_config)
 from phasemix.harness import (emit_plots, run_breakdown_demo, run_comparison,
@@ -107,6 +108,31 @@ class TestHarness:
         # coarse 64x64 classical grid: modest but bounded solver error
         assert max(rep.l1_distances) < 0.2
         assert rep.max_squeeze <= 3.0 + 1e-9
+
+    def test_solvers_compared_at_the_same_times(self, monkeypatch):
+        # 128 phase cells make the CFL-limited Fokker-Planck step
+        # t_final / 108.9, which rounds to an odd step count
+        cfg = parse_config(HARMONIC_INI.replace("n_phase = 64",
+                                                "n_phase = 128"))
+        seen = {}
+
+        def spy(name):
+            real = getattr(harness, name)
+
+            def call(*args, **kwargs):
+                traj = real(*args, **kwargs)
+                seen[name] = (args[4], [t for t, _ in traj[1:]])
+                return traj
+            monkeypatch.setattr(harness, name, call)
+
+        spy("evolve_lindblad")
+        spy("evolve_fokker_planck")
+        rep = run_comparison(cfg)
+        dt_fp = seen["evolve_fokker_planck"][0]
+        assert round(cfg.t_final / dt_fp) % cfg.snapshots != 0
+        assert rep.times == pytest.approx([0.5, 1.0], rel=1e-12)
+        for _, times in seen.values():
+            assert times == pytest.approx(rep.times, rel=1e-9)
 
     def test_zero_diffusion_without_cap_rejected(self):
         text = HARMONIC_INI.replace("d_x = 0.05", "d_x = 0.0") \

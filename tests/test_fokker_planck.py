@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from phasemix import _kernels
 from phasemix.fokker_planck import (
     CFLError,
     PhaseField,
+    _cfl_limits,
     evolve_fokker_planck,
     gaussian_phase_field,
     l1_distance,
@@ -84,6 +86,24 @@ class TestCFL:
         with pytest.raises(CFLError, match="diffusion"):
             evolve_fokker_planck(f, heavy, DiffusionSpec(1.0, 1.0, 1.0),
                                  1.0, 0.05)
+
+    def test_effective_step_never_exceeds_requested(self, monkeypatch):
+        # t_final / dt = 10.4 just under the advection limit: rounding to
+        # 10 steps would run at Courant number 1.04
+        x, p = grid(128)
+        f = gaussian_phase_field([0, 0], 0.3 * np.eye(2), x, p)
+        dt = 0.999 * _cfl_limits(f, HARMONIC, NO_DIFF)[0]
+        half_steps = []
+        advect_x = _kernels.advect_x
+
+        def spy(vals, speeds, h, dt):
+            half_steps.append(dt)
+            advect_x(vals, speeds, h, dt)
+
+        monkeypatch.setattr(_kernels, "advect_x", spy)
+        evolve_fokker_planck(f, HARMONIC, NO_DIFF, 10.4 * dt, dt)
+        assert len(half_steps) == 2 * 11
+        assert 2.0 * max(half_steps) <= dt
 
 
 class TestSolver:

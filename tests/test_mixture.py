@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from phasemix import _kernels
 from phasemix.fokker_planck import l1_distance
 from phasemix.gaussian import random_pure_cov, symplectic_form
 from phasemix.lindblad import (
@@ -339,22 +338,6 @@ class TestRasterization:
         ens = self._two_particle_ensemble(3.0)
         with pytest.raises(ValueError, match="cover"):
             mixture_to_density_grid(ens, 1.0, 64, -2.0, 2.0)
-
-    def test_kernel_paths_agree(self):
-        ens = self._two_particle_ensemble(3.0)
-        x = np.linspace(-8, 8, 128, endpoint=False)
-        rho_nb = _kernels.rasterize_density(x, ens.weights, ens.alphas,
-                                            ens.total_covs(), 1.0)
-        rho_np = _kernels._rasterize_density_numpy(x, ens.weights,
-                                                   ens.alphas,
-                                                   ens.total_covs(), 1.0)
-        assert np.abs(rho_nb - rho_np).max() < 1e-12
-        p = np.linspace(-5, 5, 64, endpoint=False)
-        v_nb = _kernels.rasterize_phase(x, p, ens.weights, ens.alphas,
-                                        ens.total_covs())
-        v_np = _kernels._rasterize_phase_numpy(x, p, ens.weights,
-                                               ens.alphas, ens.total_covs())
-        assert np.abs(v_nb - v_np).max() < 1e-12
 
 
 class TestValidation:

@@ -18,6 +18,7 @@ from phasemix.scales import (
     diffusion_threshold,
     ehrenfest_time,
     physical_example_time,
+    step_schedule,
     theorem_epsilon,
 )
 
@@ -232,3 +233,26 @@ def test_diffusion_spec_validation():
         DiffusionSpec(0.1, 0.1, 0.0)
     mat = DiffusionSpec(0.25, 0.5, 1.0).matrix(2)
     assert np.allclose(np.diag(mat), [0.25, 0.25, 0.5, 0.5])
+
+
+class TestStepSchedule:
+    def test_lands_on_every_snapshot_without_enlarging_dt(self):
+        # 10 / 0.0185 = 540.5; 545 is the first count divisible by 5
+        snaps = [2.0, 4.0, 6.0, 8.0, 10.0]
+        n, dt, steps = step_schedule(10.0, 0.0185, snaps)
+        assert n == 545
+        assert dt == 10.0 / 545 <= 0.0185
+        assert steps == {109, 218, 327, 436, 545}
+        assert all(abs(k * dt - t) <= 1e-12 for k, t in
+                   zip(sorted(steps), snaps))
+
+    def test_whole_ratio_kept_despite_round_off(self):
+        # 0.08 / 0.004 evaluates to 20.000000000000004
+        assert step_schedule(0.08, 0.004)[:2] == (20, 0.004)
+        assert step_schedule(1.0, 3.0) == (1, 1.0, {1})
+
+    def test_unreachable_snapshot_rejected(self):
+        with pytest.raises(ValueError, match="lands"):
+            step_schedule(1.0, 0.1, [0.3333])
+        with pytest.raises(ValueError, match="snapshot times"):
+            step_schedule(1.0, 0.1, [0.5, 1.5])
