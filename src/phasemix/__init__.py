@@ -12,7 +12,7 @@ plus the characteristic scales and error budgets that relate them
 __version__ = "0.1.0"
 
 from .config import ExperimentConfig, load_config, parse_config
-from .fokker_planck import (CFLError, PhaseField, evolve_fokker_planck,
+from .fokker_planck import (PhaseField, evolve_fokker_planck,
                             gaussian_phase_field, l1_distance)
 from .gaussian import GaussianState
 from .harness import run_breakdown_demo, run_comparison
@@ -29,7 +29,7 @@ from .scales import (DiffusionSpec, ScaleReport, compute_scales,
 __all__ = [
     "__version__",
     "ExperimentConfig", "load_config", "parse_config",
-    "CFLError", "PhaseField", "evolve_fokker_planck",
+    "PhaseField", "evolve_fokker_planck",
     "gaussian_phase_field", "l1_distance",
     "GaussianState",
     "run_breakdown_demo", "run_comparison",

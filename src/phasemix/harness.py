@@ -19,7 +19,7 @@ from typing import List
 import numpy as np
 
 from .config import ExperimentConfig
-from .fokker_planck import (PhaseField, cfl_limits, evolve_fokker_planck,
+from .fokker_planck import (PhaseField, evolve_fokker_planck,
                             gaussian_phase_field, l1_distance)
 from .gaussian import GaussianState
 from .lindblad import (DensityMatrixGrid, evolve_lindblad, gaussian_to_grid,
@@ -107,11 +107,9 @@ class Experiment:
                       + np.sqrt(cfg.d_p * cfg.t_final))
             lo, hi = -p_half, p_half
         p = lo + (hi - lo) * (np.arange(cfg.n_phase) + 0.5) / cfg.n_phase
-        adv_max, diff_max = cfl_limits(x, p, model, diffusion)
-        dt_classical = cfg.dt_classical or min(
-            scales.tau_H / 100.0, 0.8 * adv_max, 0.8 * diff_max)
         return cls(cfg, model, diffusion, scales, snaps,
-                   cfg.dt_quantum or scales.tau_H / 500.0, dt_classical,
+                   cfg.dt_quantum or scales.tau_H / 500.0,
+                   cfg.dt_classical or scales.tau_H / 100.0,
                    cfg.dt_mixture or scales.tau_H / 200.0, x, p)
 
     @property

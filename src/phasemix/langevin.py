@@ -16,7 +16,7 @@ import numpy as np
 
 from .fokker_planck import PhaseField
 from .potentials import HamiltonianModel
-from .rng import stream_generator, stream_normals
+from .rng import LANGEVIN_STREAM, stream_generator, stream_normals
 from .scales import DiffusionSpec, step_schedule
 
 __all__ = [
@@ -25,8 +25,6 @@ __all__ = [
     "evolve_langevin_ensemble",
     "ensemble_histogram",
 ]
-
-_LANGEVIN_STREAM = 3
 
 
 @dataclass
@@ -55,7 +53,8 @@ class LangevinEnsemble:
 
 
 def sample_gaussian_ensemble(mean, cov, m: int, seed: int,
-                             stream: int = _LANGEVIN_STREAM) -> LangevinEnsemble:
+                             stream: int = LANGEVIN_STREAM
+                             ) -> LangevinEnsemble:
     """Draw M phase-space points from a Gaussian via the counter-based RNG."""
     rng = stream_generator(seed, stream, step=0)
     pts = rng.multivariate_normal(np.asarray(mean, float),
@@ -79,7 +78,7 @@ def evolve_langevin_ensemble(ens: LangevinEnsemble, model: HamiltonianModel,
     sx = math.sqrt(diffusion.d_x * dt)
     sp = math.sqrt(diffusion.d_p * dt)
     for k in range(n_steps):
-        xi = stream_normals(seed, _LANGEVIN_STREAM,
+        xi = stream_normals(seed, LANGEVIN_STREAM,
                             ens.steps_taken + 1 + k, (2, x.size))
         grad = np.asarray(model.potential.grad(x))
         x += (p / model.mass) * dt + sx * xi[0]

@@ -92,14 +92,22 @@ def m_matrix(sigma_tilde: np.ndarray, scales: ScaleReport,
     """Relaxation matrix M = m_rate (s - s^-1) / (1 - z^-2), whitened.
 
     Shares eigenvectors with sigma-tilde; vanishes at sigma-tilde = I and
-    is antisymmetric under s -> s^-1.
+    is antisymmetric under s -> s^-1.  Takes one 2x2 matrix or a stack
+    (..., 2, 2).
     """
     if z <= 1.0:
         raise ValueError("m_matrix needs z > 1 (use effective_z)")
-    sigma_tilde = np.asarray(sigma_tilde, dtype=float)
-    inv = np.linalg.inv(sigma_tilde)
-    m = scales.m_rate * (sigma_tilde - inv) / (1.0 - z**-2)
-    return 0.5 * (m + m.T)
+    st = np.asarray(sigma_tilde, dtype=float)
+    # closed-form 2x2 inverse
+    det = st[..., 0, 0] * st[..., 1, 1] - st[..., 0, 1] * st[..., 1, 0]
+    inv = np.empty_like(st)
+    inv[..., 0, 0] = st[..., 1, 1]
+    inv[..., 1, 1] = st[..., 0, 0]
+    inv[..., 0, 1] = -st[..., 0, 1]
+    inv[..., 1, 0] = -st[..., 1, 0]
+    inv /= det[..., None, None]
+    m = scales.m_rate * (st - inv) / (1.0 - z**-2)
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
 def split_sdot(alpha, sigma, model: HamiltonianModel,
@@ -249,15 +257,7 @@ def _batch_split_sdot(alphas, covs, model, diffusion, scales, z):
     f[:, 1, 0] = -hess
     ft = whiten_f(f, scales)
     st = whiten(covs, scales)
-    # closed-form inverse of the symmetric 2x2 batch
-    det = st[:, 0, 0] * st[:, 1, 1] - st[:, 0, 1] * st[:, 1, 0]
-    inv = np.empty_like(st)
-    inv[:, 0, 0] = st[:, 1, 1]
-    inv[:, 1, 1] = st[:, 0, 0]
-    inv[:, 0, 1] = -st[:, 0, 1]
-    inv[:, 1, 0] = -st[:, 1, 0]
-    inv /= det[:, None, None]
-    mm = scales.m_rate * (st - inv) / (1.0 - z**-2)
+    mm = m_matrix(st, scales, z)
     a = ft - mm
     sz_t = a @ st + st @ a.transpose(0, 2, 1)
     d_t = whiten(diffusion.matrix(1), scales)

@@ -10,9 +10,14 @@ Within one call, row i of the returned array is the noise for sample i.
 
 import numpy as np
 
-__all__ = ["stream_normals", "stream_generator"]
+__all__ = ["stream_normals", "stream_generator", "LANGEVIN_STREAM"]
 
 _MASK64 = (1 << 64) - 1
+
+# Stream ids under one seed: mixture particle i spills on stream i, so the
+# Langevin ensemble takes the top of the 64-bit range, which no particle
+# index reaches.
+LANGEVIN_STREAM = _MASK64
 
 
 def stream_generator(seed: int, stream: int, step: int) -> np.random.Generator:

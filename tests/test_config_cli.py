@@ -110,10 +110,10 @@ class TestHarness:
         assert rep.max_squeeze <= 3.0 + 1e-9
 
     def test_solvers_compared_at_the_same_times(self, monkeypatch):
-        # 128 phase cells make the CFL-limited Fokker-Planck step
-        # t_final / 108.9, which rounds to an odd step count
-        cfg = parse_config(HARMONIC_INI.replace("n_phase = 64",
-                                                "n_phase = 128"))
+        # a Fokker-Planck step of t_final / 109 is an odd step count, so
+        # the snapshot at t_final / 2 does not fall on it
+        cfg = parse_config(HARMONIC_INI.replace(
+            "n_phase = 64", f"n_phase = 128\ndt_classical = {1.0 / 109!r}"))
         seen = {}
 
         def spy(name):

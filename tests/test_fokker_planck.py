@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from phasemix import _kernels
 from phasemix.fokker_planck import (
-    CFLError,
     PhaseField,
     _cfl_limits,
     evolve_fokker_planck,
@@ -71,21 +71,123 @@ class TestL1Distance:
             l1_distance(f1, f2)
 
 
-class TestCFL:
-    def test_advection_rejected_with_suggestion(self):
-        x, p = grid(128)
-        f = gaussian_phase_field([0, 0], 0.3 * np.eye(2), x, p)
-        with pytest.raises(CFLError, match="suggested dt") as exc:
-            evolve_fokker_planck(f, HARMONIC, NO_DIFF, 1.0, 1.0)
-        assert 0.0 < exc.value.suggested_dt < 1.0
+def muscl_reference(vals, speeds, h, dt):
+    """Column-wise MUSCL/van Leer step along axis 0 with zero-gradient
+    ghost cells, written out whole-array; valid for |speeds dt / h| <= 1."""
+    n = vals.shape[0]
+    u = np.concatenate([vals[:1], vals[:1], vals, vals[-1:], vals[-1:]])
+    d = np.diff(u, axis=0)
+    dl, dr = d[:-1], d[1:]
+    prod = dl * dr
+    s = np.where(prod > 0.0, 2.0 * prod / (dl + dr + 1e-300), 0.0)
+    c = speeds * dt / h
+    f_pos = speeds * (u[1:n + 2] + 0.5 * (1.0 - c) * s[:n + 1])
+    f_neg = speeds * (u[2:n + 3] - 0.5 * (1.0 + c) * s[1:n + 2])
+    f = np.where(speeds >= 0.0, f_pos, f_neg)
+    return vals - (dt / h) * (f[1:] - f[:-1])
 
-    def test_diffusion_rejected(self):
+
+def edge_shift(vals, k):
+    """Shift every column by k cells along axis 0, the edge value flowing
+    in."""
+    idx = np.clip(np.arange(vals.shape[0]) - k, 0, vals.shape[0] - 1)
+    return vals[idx]
+
+
+class TestKernels:
+    def field(self, n=40, m=30):
+        rng = np.random.default_rng(5)
+        return rng.random((n, m)) * (rng.random((n, m)) > 0.3)
+
+    def test_below_courant_one_matches_muscl_reference(self):
+        v = self.field()
+        speeds = np.linspace(-0.9, 0.9, 30)
+        speeds[10] = 0.0
+        got = v.copy()
+        _kernels.advect_x(got, speeds, 0.5, 0.5)
+        assert np.abs(got - muscl_reference(v, speeds, 0.5, 0.5)).max() \
+            < 1e-15
+        speeds = np.linspace(0.9, -0.9, 40)
+        got = v.copy()
+        _kernels.advect_p(got, speeds, 0.5, 0.5)
+        ref = muscl_reference(v.T, speeds, 0.5, 0.5).T
+        assert np.abs(got - ref).max() < 1e-15
+
+    def test_integer_courant_is_an_exact_shift(self):
+        v = self.field()
+        speeds = np.array([3.0, -2.0, 0.0, 45.0, -45.0] * 6)
+        got = v.copy()
+        _kernels.advect_x(got, speeds, 1.0, 1.0)
+        for j, k in enumerate(speeds.astype(int)):
+            ref = edge_shift(v[:, j:j + 1], k)[:, 0]
+            assert np.array_equal(got[:, j], ref)
+
+    def test_courant_above_one_is_shift_then_muscl(self):
+        v = self.field()
+        speeds = np.linspace(-3.7, 3.7, 30)
+        got = v.copy()
+        _kernels.advect_x(got, speeds, 1.0, 1.0)
+        shift = np.trunc(speeds)
+        for j, k in enumerate(shift.astype(int)):
+            col = edge_shift(v[:, j:j + 1], k)
+            ref = muscl_reference(col, speeds[j:j + 1] - shift[j], 1.0, 1.0)
+            assert np.abs(got[:, j] - ref[:, 0]).max() < 1e-15
+        assert got.min() >= 0.0
+
+    def test_diffuse_is_the_neumann_heat_flow(self):
+        n, m, rx, rp = 6, 5, 0.7, 2.3
+
+        def laplacian(k):
+            lap = np.diag(np.full(k - 1, 1.0), 1) + np.diag(
+                np.full(k - 1, 1.0), -1) - 2.0 * np.eye(k)
+            lap[0, 0] = lap[-1, -1] = -1.0
+            return lap
+
+        gen = rx * np.kron(laplacian(n), np.eye(m)) \
+            + rp * np.kron(np.eye(n), laplacian(m))
+        v = self.field(n, m)
+        got = v.copy()
+        _kernels.diffuse(got, rx, rp)
+        ref = (expm(gen) @ v.ravel()).reshape(n, m)
+        assert np.abs(got - ref).max() < 1e-13
+        assert got.sum() == pytest.approx(v.sum(), rel=1e-13)
+
+
+class TestCFL:
+    def test_advection_beyond_courant_one_rotates_rigidly(self):
+        # dt = 1 is 64 x the advection CFL step.  One Strang step of the
+        # harmonic flow at dt = 1 is the linear map M = P(1/2) X(1) P(1/2),
+        # trace 1 and det 1: a rotation by pi/3 in its own coordinates,
+        # so M^3 = -I and M^6 = I
+        x, p = grid(128)
+        f = gaussian_phase_field([1.5, 0.0], 0.3 * np.eye(2), x, p)
+        assert 1.0 > 60.0 * _cfl_limits(f, HARMONIC, NO_DIFF)[0]
+        traj = evolve_fokker_planck(f, HARMONIC, NO_DIFF, 6.0, 1.0,
+                                    snapshot_times=[1.0, 3.0, 6.0])
+        assert [t for t, _ in traj] == [0.0, 1.0, 3.0, 6.0]
+        m = np.array([[0.5, 1.0], [-0.75, 0.5]])
+        for (t, ff), power in zip(traj[1:], (1, 3, 6)):
+            assert abs(ff.mass() - 1.0) < 1e-9
+            assert ff.values.min() >= -1e-12
+            mp = np.linalg.matrix_power(m, power)
+            mean, cov = ff.moments()
+            assert np.abs(mean - mp @ [1.5, 0.0]).max() < 0.01
+            assert np.abs(cov - 0.3 * mp @ mp.T).max() < 0.02
+        assert l1_distance(traj[-1][1], f) < 0.05
+
+    def test_diffusion_beyond_explicit_limit_grows_variance(self):
+        # dt = 0.05 is about 6 x the explicit diffusion step on this grid
         x, p = grid(128)
         f = gaussian_phase_field([0, 0], 0.3 * np.eye(2), x, p)
         heavy = HamiltonianModel(1e12, Harmonic(1e-10), (-8.0, 8.0))
-        with pytest.raises(CFLError, match="diffusion"):
-            evolve_fokker_planck(f, heavy, DiffusionSpec(1.0, 1.0, 1.0),
-                                 1.0, 0.05)
+        diff = DiffusionSpec(1.0, 1.0, 1.0)
+        assert 0.05 > 5.0 * _cfl_limits(f, heavy, diff)[1]
+        _, ff = evolve_fokker_planck(f, heavy, diff, 1.0, 0.05)[-1]
+        _, cov = ff.moments()
+        assert cov[0, 0] == pytest.approx(0.3 + 1.0, rel=0.01)
+        assert cov[1, 1] == pytest.approx(0.3 + 1.0, rel=0.01)
+        assert abs(ff.mass() - 1.0) < 1e-9
+        assert ff.values.min() >= 0.0
 
     def test_effective_step_never_exceeds_requested(self, monkeypatch):
         # t_final / dt = 10.4 just under the advection limit: rounding to
@@ -166,6 +268,26 @@ class TestSolver:
             [0, t], cov0.ravel(), rtol=1e-10).y[:, -1].reshape(2, 2)
         _, cov_t = ff.moments()
         assert np.abs(cov_t - sol).max() < 0.01 * np.abs(sol).max()
+
+    def test_equal_diffusion_at_explicit_limit_stays_bounded(self):
+        # rx = rp = 0.36, 0.8 x the per-axis explicit limit: a two-axis
+        # forward-Euler update needs rx + rp <= 1/2 and grew without
+        # bound here while the mass still read 1
+        x, p = grid(128, box=4.0)
+        frozen = HamiltonianModel(1e12, Harmonic(1e-10), (-8.0, 8.0))
+        diff = DiffusionSpec(0.05, 0.05, 1.0)
+        f0 = gaussian_phase_field([0.0, 0.0], 0.25 * np.eye(2), x, p)
+        dt = 0.056
+        assert 0.5 * 0.05 * dt / f0.dx**2 == pytest.approx(0.3584)
+        assert dt == pytest.approx(0.8 * _cfl_limits(f0, frozen, diff)[1],
+                                   rel=0.01)
+        t = 6.0
+        _, ff = evolve_fokker_planck(f0, frozen, diff, t, dt)[-1]
+        assert ff.values.min() >= 0.0
+        assert ff.values.max() <= f0.values.max()
+        _, cov = ff.moments()
+        assert cov[0, 0] == pytest.approx(0.25 + 0.05 * t, rel=0.01)
+        assert cov[1, 1] == pytest.approx(0.25 + 0.05 * t, rel=0.01)
 
     def test_mass_leak_aborts(self):
         x, p = grid(128, box=2.0)

@@ -7,6 +7,7 @@ from phasemix.fokker_planck import (
     gaussian_phase_field,
     l1_distance,
 )
+from phasemix import mixture
 from phasemix.langevin import (
     LangevinEnsemble,
     ensemble_histogram,
@@ -14,7 +15,7 @@ from phasemix.langevin import (
     sample_gaussian_ensemble,
 )
 from phasemix.potentials import DoubleWell, HamiltonianModel, Harmonic
-from phasemix.scales import DiffusionSpec
+from phasemix.scales import DiffusionSpec, compute_scales
 
 HARMONIC = HamiltonianModel(1.0, Harmonic(1.0), (-8.0, 8.0))
 NO_DIFF = DiffusionSpec(0.0, 0.0, 1.0)
@@ -106,3 +107,37 @@ def test_histogram_l1_shrinks_with_ensemble_size():
 def test_shape_validation():
     with pytest.raises(ValueError):
         LangevinEnsemble(np.zeros(3), np.zeros(4), seed=0)
+
+
+def test_noise_is_not_a_mixture_particles_kick(monkeypatch):
+    # mixture particle i spills on stream i; at the same (seed, step) the
+    # Langevin noise must not repeat any particle's kick
+    seed = 7
+    kicks = []
+    draw = mixture.stream_normals
+
+    def spy(seed, stream, step, shape):
+        xi = draw(seed, stream, step, shape)
+        kicks.append(xi)
+        return xi
+
+    monkeypatch.setattr(mixture, "stream_normals", spy)
+    well = HamiltonianModel(1.0, DoubleWell(0.25, 1.0), (-3.0, 3.0))
+    diff = DiffusionSpec(0.3, 0.5, 1.0)
+    sc = compute_scales(well, diff)
+    ens = mixture.MixtureEnsemble(
+        weights=np.full(4, 0.25), alphas=np.tile([0.5, 0.0], (4, 1)),
+        covs=np.tile(sc.sigma_star, (4, 1, 1)), blurs=np.zeros((4, 2, 2)),
+        scales=sc, z_eff=mixture.effective_z(sc), seed=seed)
+    mixture.evolve_mixture(ens, well, diff, 0.001, 0.001, blur_cap=1e-12)
+    assert len(kicks) == 4          # every particle spilled at step 1
+
+    # frozen drift and unit noise: one step moves each sample by its noise
+    frozen = HamiltonianModel(1e12, Harmonic(1e-10), (-8.0, 8.0))
+    ens = LangevinEnsemble(np.zeros(1), np.zeros(1), seed=seed)
+    out = evolve_langevin_ensemble(ens, frozen, DiffusionSpec(1.0, 1.0, 1.0),
+                                   1.0, 1.0)
+    noise = np.array([out.x[0], out.p[0]])
+    assert np.all(noise != 0.0)
+    for kick in kicks:
+        assert not np.allclose(kick, noise)

@@ -102,6 +102,17 @@ class TestMMatrix:
         with pytest.raises(ValueError):
             m_matrix(np.eye(2), sc, 1.0)
 
+    def test_stack_matches_each_matrix(self):
+        sc = scales_for(WELL, 0.1, 0.1)
+        rng = np.random.default_rng(4)
+        st = np.stack([whiten(random_nts_cov(sc, 3.0, rng), sc)
+                       for _ in range(6)])
+        batch = m_matrix(st, sc, 3.0)
+        for k in range(6):
+            ref = sc.m_rate * (st[k] - np.linalg.inv(st[k])) / (1.0 - 3.0**-2)
+            assert np.abs(batch[k] - m_matrix(st[k], sc, 3.0)).max() == 0.0
+            assert np.abs(batch[k] - ref).max() < 1e-12 * np.abs(ref).max()
+
 
 MODELS = [
     HARMONIC,
