@@ -127,9 +127,8 @@ def cmd_evolve_langevin(args):
     exp = Experiment.from_config(cfg)
     ens = sample_gaussian_ensemble([cfg.x0, cfg.p0], exp.scales.sigma_star,
                                    cfg.samples, cfg.seed)
-    _, dt, steps = step_schedule(
-        cfg.t_final, cfg.dt_classical or exp.scales.tau_H / 200.0,
-        exp.snapshot_times)
+    _, dt, steps = step_schedule(cfg.t_final, exp.dt_langevin,
+                                 exp.snapshot_times)
     traj = [(0.0, ens)]
     done = 0
     for k in sorted(steps):

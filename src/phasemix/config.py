@@ -40,6 +40,8 @@ class ExperimentConfig:
     # [numerics]
     t_final: float
     dt_quantum: Optional[float] = None
+    # the step of both classical solvers; unset, Fokker-Planck takes
+    # tau_H/100 and evolve-langevin tau_H/200
     dt_classical: Optional[float] = None
     dt_mixture: Optional[float] = None
     n_grid: int = 256

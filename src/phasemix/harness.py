@@ -71,10 +71,12 @@ class Experiment:
     """One experiment's shared setup, built once from its config.
 
     Holds the model, diffusion, scales, snapshot times, the step size each
-    solver is asked for (`dt_quantum`, `dt_classical`, `dt_mixture`) and
-    the phase-grid cell centres `x`, `p`.  The squeeze bound `z` and the
-    initial states are built only on request: `z` rejects a D0 = 0 config
-    without `z_cap`, and the states are N x N arrays.
+    solver is asked for (`dt_quantum`; `dt_classical` for Fokker-Planck and
+    `dt_langevin` for `evolve-langevin`, both set by `[numerics]
+    dt_classical`; `dt_mixture`) and the phase-grid cell centres `x`, `p`.
+    The squeeze bound `z` and the initial states are built only on
+    request: `z` rejects a D0 = 0 config without `z_cap`, and the states
+    are N x N arrays.
     """
 
     cfg: ExperimentConfig
@@ -84,6 +86,7 @@ class Experiment:
     snapshot_times: List[float]
     dt_quantum: float
     dt_classical: float
+    dt_langevin: float
     dt_mixture: float
     x: np.ndarray
     p: np.ndarray
@@ -110,6 +113,7 @@ class Experiment:
         return cls(cfg, model, diffusion, scales, snaps,
                    cfg.dt_quantum or scales.tau_H / 500.0,
                    cfg.dt_classical or scales.tau_H / 100.0,
+                   cfg.dt_classical or scales.tau_H / 200.0,
                    cfg.dt_mixture or scales.tau_H / 200.0, x, p)
 
     @property

@@ -52,11 +52,9 @@ class LangevinEnsemble:
         return mean, cov
 
 
-def sample_gaussian_ensemble(mean, cov, m: int, seed: int,
-                             stream: int = LANGEVIN_STREAM
-                             ) -> LangevinEnsemble:
+def sample_gaussian_ensemble(mean, cov, m: int, seed: int) -> LangevinEnsemble:
     """Draw M phase-space points from a Gaussian via the counter-based RNG."""
-    rng = stream_generator(seed, stream, step=0)
+    rng = stream_generator(seed, LANGEVIN_STREAM, step=0)
     pts = rng.multivariate_normal(np.asarray(mean, float),
                                   np.asarray(cov, float), size=m,
                                   method="cholesky")
@@ -65,25 +63,25 @@ def sample_gaussian_ensemble(mean, cov, m: int, seed: int,
 
 def evolve_langevin_ensemble(ens: LangevinEnsemble, model: HamiltonianModel,
                              diffusion: DiffusionSpec, t_final: float,
-                             dt: float, seed=None) -> LangevinEnsemble:
+                             dt: float) -> LangevinEnsemble:
     """Euler-Maruyama integration of the whole ensemble.
 
-    The noise for step k is keyed by (seed, stream, steps_taken + k), so
-    continuing a run in pieces reproduces the single-shot result exactly.
+    The noise for step k is keyed by (ens.seed, LANGEVIN_STREAM,
+    steps_taken + k), so continuing a run in pieces reproduces the
+    single-shot result exactly.
     """
-    seed = ens.seed if seed is None else seed
     n_steps, dt, _ = step_schedule(t_final, dt)
     x = ens.x.copy()
     p = ens.p.copy()
     sx = math.sqrt(diffusion.d_x * dt)
     sp = math.sqrt(diffusion.d_p * dt)
     for k in range(n_steps):
-        xi = stream_normals(seed, LANGEVIN_STREAM,
+        xi = stream_normals(ens.seed, LANGEVIN_STREAM,
                             ens.steps_taken + 1 + k, (2, x.size))
         grad = np.asarray(model.potential.grad(x))
         x += (p / model.mass) * dt + sx * xi[0]
         p += -grad * dt + sp * xi[1]
-    return LangevinEnsemble(x, p, seed, ens.steps_taken + n_steps)
+    return LangevinEnsemble(x, p, ens.seed, ens.steps_taken + n_steps)
 
 
 def ensemble_histogram(ens: LangevinEnsemble, x: np.ndarray,

@@ -14,16 +14,11 @@ Only the moduli of the amplitudes enter; complex phases would produce
 cross terms that never appear in the diffusion matrix, so they are not
 represented.
 
-Time stepping offers two methods:
-
-  * "split" (default): Strang splitting whose two factors -- potential
-    phase times X-dissipator decay in the position-pair representation,
-    kinetic phase times P-dissipator decay in the momentum-pair
-    representation -- are each exactly completely positive and exactly
-    trace preserving, so the method is unconditionally stable and second
-    order in dt.
-  * "rk4": classical fourth-order stepping on the raw generator, subject
-    to an explicit stability bound on dt.
+Time stepping is Strang splitting: the potential phase times the
+X-dissipator decay acts in the position-pair representation, the kinetic
+phase times the P-dissipator decay in the momentum-pair representation.
+Each factor is exactly completely positive and exactly trace preserving,
+so the step is unconditionally stable and second order in dt.
 """
 
 import math
@@ -40,7 +35,6 @@ from .scales import DiffusionSpec, step_schedule
 __all__ = [
     "DensityMatrixGrid",
     "gaussian_to_grid",
-    "gaussian_density_kernel",
     "apply_lindbladian",
     "evolve_lindblad",
     "wigner_transform_grid",
@@ -146,28 +140,6 @@ class DensityMatrixGrid:
                                f"eigenvalue {self.min_eigenvalue():.3g}")
 
 
-def gaussian_density_kernel(state: GaussianState, x: np.ndarray) -> np.ndarray:
-    """Position-representation kernel of a (possibly mixed) Gaussian state.
-
-    In mean/difference coordinates u = (x + x')/2, v = x - x':
-
-        rho(x, x') = N(u; mean_x, s_xx)
-                     * exp(-(s_pp - s_xp^2/s_xx) v^2 / (2 hbar^2))
-                     * exp(i (mean_p + (s_xp/s_xx)(u - mean_x)) v / hbar)
-    """
-    if state.d != 1:
-        raise ValueError("position-grid states are one dimensional")
-    sxx, sxp, spp = state.cov[0, 0], state.cov[0, 1], state.cov[1, 1]
-    hbar = state.hbar
-    u = 0.5 * (x[:, None] + x[None, :]) - state.mean[0]
-    v = x[:, None] - x[None, :]
-    spp_cond = spp - sxp**2 / sxx
-    amp = np.exp(-u**2 / (2.0 * sxx)) / math.sqrt(2.0 * math.pi * sxx)
-    decay = np.exp(-spp_cond * v**2 / (2.0 * hbar**2))
-    phase = np.exp(1j * (state.mean[1] + (sxp / sxx) * u) * v / hbar)
-    return amp * decay * phase
-
-
 def gaussian_to_grid(state: GaussianState, mass: float, n: int,
                      x_min: float, x_max: float) -> DensityMatrixGrid:
     """Pure Gaussian wavefunction realized as a rank-1 grid density matrix.
@@ -223,59 +195,27 @@ def apply_lindbladian(grid: DensityMatrixGrid, model: HamiltonianModel,
     return deriv
 
 
-def _rk4_rate_bound(grid, model, diffusion) -> float:
-    pos = np.abs(_position_factor(grid, model, diffusion)).max()
-    mom = np.abs(_momentum_factor(grid, diffusion)).max()
-    return float(pos + mom)
-
-
 def evolve_lindblad(rho0: DensityMatrixGrid, model: HamiltonianModel,
                     diffusion: DiffusionSpec, t_final: float, dt: float,
-                    snapshot_times=None, method: str = "split",
-                    edge_tol: float = 1e-6):
+                    snapshot_times=None, edge_tol: float = 1e-6):
     """Integrate the master equation; returns [(t, DensityMatrixGrid)].
 
     Snapshots are checked against the Hermiticity / trace / positivity
     invariants and the boundary-occupation bound; violations abort with
     the step index.
     """
-    if method not in ("split", "rk4"):
-        raise ValueError("method must be 'split' or 'rk4'")
     n_steps, dt, snap_steps = step_schedule(t_final, dt, snapshot_times)
 
     rho = rho0.rho.copy()
     out = [(0.0, DensityMatrixGrid(rho0.x, rho.copy(), rho0.hbar, rho0.mass))]
-
-    if method == "rk4":
-        rate = _rk4_rate_bound(rho0, model, diffusion)
-        if dt * rate > 2.5:
-            raise ValueError(
-                f"dt = {dt:.3g} unstable for rk4 (rate bound {rate:.3g}); "
-                f"use dt <= {2.5 / rate:.3g} or method='split'")
-
-        def step(r):
-            g = DensityMatrixGrid(rho0.x, r, rho0.hbar, rho0.mass)
-
-            def f(m):
-                g.rho = m
-                return apply_lindbladian(g, model, diffusion)
-
-            k1 = f(r)
-            k2 = f(r + 0.5 * dt * k1)
-            k3 = f(r + 0.5 * dt * k2)
-            k4 = f(r + dt * k3)
-            return r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    else:
-        half_pos = np.exp(_position_factor(rho0, model, diffusion) * 0.5 * dt)
-        full_mom = np.exp(_momentum_factor(rho0, diffusion) * dt)
-
-        def step(r):
-            r = half_pos * r
-            r = _from_momentum(full_mom * _to_momentum(r))
-            return half_pos * r
+    half_pos = np.exp(_position_factor(rho0, model, diffusion) * 0.5 * dt)
+    full_mom = np.exp(_momentum_factor(rho0, diffusion) * dt)
 
     for i in range(1, n_steps + 1):
-        rho = step(rho)
+        rho = _from_momentum(full_mom * _to_momentum(half_pos * rho))
+        # a named right operand: numpy may reuse an unnamed temporary in
+        # place, which swaps the factors and rounds the product differently
+        rho = half_pos * rho
         if i in snap_steps:
             snap = DensityMatrixGrid(rho0.x, rho.copy(), rho0.hbar,
                                      rho0.mass)

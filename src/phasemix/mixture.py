@@ -22,7 +22,6 @@ z_eff >= Z_FLOOR keeps the relaxation term M nonstiff while remaining
 conservative for the error budget.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +40,6 @@ __all__ = [
     "effective_z",
     "m_matrix",
     "split_sdot",
-    "step_particle",
     "evolve_mixture",
     "mixture_to_density_grid",
     "mixture_to_phase_field",
@@ -50,7 +48,7 @@ __all__ = [
 Z_FLOOR = 1.05
 
 
-def effective_z(scales: ScaleReport, z_cap=None, z_floor: float = Z_FLOOR):
+def effective_z(scales: ScaleReport, z_cap=None):
     """Squeeze bound actually enforced by the construction.
 
     With no diffusion drive the theorem gives no squeeze control; a user
@@ -64,7 +62,7 @@ def effective_z(scales: ScaleReport, z_cap=None, z_floor: float = Z_FLOOR):
         z = float(z_cap)
     else:
         z = scales.z if z_cap is None else min(scales.z, float(z_cap))
-    return max(z, z_floor)
+    return max(z, Z_FLOOR)
 
 
 def _star_sqrt(scales: ScaleReport) -> np.ndarray:
@@ -127,59 +125,12 @@ def split_sdot(alpha, sigma, model: HamiltonianModel,
     return sz[0], sd[0]
 
 
-def _project_pure(sigma: np.ndarray, hbar: float):
-    """Rescale a near-pure 2x2 covariance onto det sigma = (hbar/2)^2."""
-    det = float(np.linalg.det(sigma))
-    out = sigma * (hbar / 2.0) / math.sqrt(det)
-    defect = abs(det / (hbar / 2.0) ** 2 - 1.0)
-    return out, defect, float(np.abs(out - sigma).max())
-
-
 def _noise_sqrt(mat: np.ndarray, abort_below: float = -1e-9) -> np.ndarray:
     lam, vec = np.linalg.eigh(mat)
     if lam.min() < abort_below * max(abs(lam).max(), 1.0):
         raise RuntimeError(f"noise covariance has eigenvalue {lam.min():.3g}"
                            " beyond tolerance")
     return vec @ np.diag(np.sqrt(np.clip(lam, 0.0, None))) @ vec.T
-
-
-def step_particle(alpha, sigma, model: HamiltonianModel,
-                  diffusion: DiffusionSpec, scales: ScaleReport, z: float,
-                  dt: float, rng: np.random.Generator):
-    """One stochastic particle update (transport + kick).
-
-    alpha and sigma advance by a joint 4th-order step along the flow and
-    S_Z; the S_D broadening becomes a Gaussian center kick of covariance
-    S_D dt.  Returns (alpha, sigma, info) with projection diagnostics.
-    """
-    if dt > 1e-2 * scales.tau_H * (1.0 + 1e-12):
-        raise ValueError("dt must be at most tau_H / 100")
-    alpha = np.asarray(alpha, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-
-    def deriv(a, s):
-        sz, sd, flow, _ = _batch_split_sdot(a[None], s[None], model,
-                                            diffusion, scales, z)
-        return flow[0], sz[0], sd[0]
-
-    ka1, ks1, sd = deriv(alpha, sigma)
-    ka2, ks2, _ = deriv(alpha + 0.5 * dt * ka1, sigma + 0.5 * dt * ks1)
-    ka3, ks3, _ = deriv(alpha + 0.5 * dt * ka2, sigma + 0.5 * dt * ks2)
-    ka4, ks4, _ = deriv(alpha + dt * ka3, sigma + dt * ks3)
-    alpha_new = alpha + (dt / 6.0) * (ka1 + 2 * ka2 + 2 * ka3 + ka4)
-    sigma_new = sigma + (dt / 6.0) * (ks1 + 2 * ks2 + 2 * ks3 + ks4)
-
-    sigma_new, defect, displacement = _project_pure(sigma_new, scales.hbar)
-    lam = np.linalg.eigvalsh(whiten(sigma_new, scales))
-    violation = max(lam.max() - z, 1.0 / z - lam.min(), 0.0)
-    if violation > 1e-6:
-        raise RuntimeError(f"squeeze window violated by {violation:.3g} "
-                           "after projection (dt too large?)")
-
-    xi = _noise_sqrt(sd * dt) @ rng.standard_normal(alpha.size)
-    info = {"defect_before": defect, "displacement": displacement,
-            "nts_violation": violation}
-    return alpha_new + xi, sigma_new, info
 
 
 @dataclass
@@ -238,14 +189,12 @@ class MixtureEnsemble:
 def coherent_ensemble(alpha, scales: ScaleReport, seed: int,
                       z_cap=None) -> MixtureEnsemble:
     """Single coherent particle at alpha (the theorem's initial state)."""
-    z = effective_z(scales, z_cap)
-    n = 2 * scales.dims
     return MixtureEnsemble(
         weights=np.ones(1),
-        alphas=np.asarray(alpha, dtype=float).reshape(1, n),
+        alphas=np.asarray(alpha, dtype=float).reshape(1, 2),
         covs=scales.sigma_star[None, :, :].copy(),
-        blurs=np.zeros((1, n, n)),
-        scales=scales, z_eff=z, seed=seed)
+        blurs=np.zeros((1, 2, 2)),
+        scales=scales, z_eff=effective_z(scales, z_cap), seed=seed)
 
 
 def _batch_split_sdot(alphas, covs, model, diffusion, scales, z):
@@ -269,23 +218,23 @@ def _batch_split_sdot(alphas, covs, model, diffusion, scales, z):
 
 def evolve_mixture(ens: MixtureEnsemble, model: HamiltonianModel,
                    diffusion: DiffusionSpec, t_final: float, dt: float,
-                   seed=None, blur_cap=None, snapshot_times=None):
+                   blur_cap=None, snapshot_times=None):
     """Evolve the whole ensemble; returns [(t, MixtureEnsemble)].
 
     Deterministic transport: joint 4th-order step of (alpha, sigma, C)
     along (flow, S_Z, F C + C F^T + S_D).  Purity projection and squeeze
     clamping run every step; blur exceeding `blur_cap` (whitened spectral
-    norm) spills into center kicks keyed by (seed, particle, step).
+    norm) spills into center kicks keyed by (ens.seed, particle, step).
     `blur_cap=None` means never spill, exact for quadratic potentials;
-    anharmonic models default to 4.0.
+    anharmonic models default to 4.0.  `domain_exits` counts the
+    particle-steps whose center ends outside `model.domain`, where the
+    sup-derivative bounds no longer hold.
     """
-    if model.dims != 1:
-        raise ValueError("mixture evolution is implemented for d = 1")
     if dt > 1e-2 * ens.scales.tau_H * (1.0 + 1e-12):
         raise ValueError("dt must be at most tau_H / 100")
     ens.validate()
-    seed = ens.seed if seed is None else seed
-    scales, z = ens.scales, ens.z_eff
+    seed, scales, z = ens.seed, ens.scales, ens.z_eff
+    lo, hi = model.domain
     if blur_cap is None and model.sup3 > 0:
         blur_cap = 4.0
     n_steps, dt, snap_steps = step_schedule(t_final, dt, snapshot_times)
@@ -301,6 +250,7 @@ def evolve_mixture(ens: MixtureEnsemble, model: HamiltonianModel,
     diag.setdefault("max_displacement", 0.0)
     diag.setdefault("max_nts_violation", 0.0)
     diag.setdefault("spill_count", 0)
+    diag.setdefault("domain_exits", 0)
 
     def snapshot(step):
         return MixtureEnsemble(ens.weights.copy(), alphas.copy(),
@@ -364,6 +314,8 @@ def evolve_mixture(ens: MixtureEnsemble, model: HamiltonianModel,
                 blurs[i] = 0.0
                 diag["spill_count"] += 1
 
+        x = alphas[:, 0]
+        diag["domain_exits"] += int(np.count_nonzero((x < lo) | (x > hi)))
         if step in snap_steps:
             out.append((step * dt, snapshot(step)))
     return out

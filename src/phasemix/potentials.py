@@ -218,13 +218,13 @@ class HamiltonianModel:
     domain[1]], not over all of space: the polynomial test potentials have
     unbounded derivatives globally, while the bounds only need to hold on
     the region the dynamics explore.  Domain exits during dynamics are
-    warnings, not failures.
+    warned about (`flow_vector`) or counted (`evolve_mixture`), not
+    failures.
     """
 
     mass: float
     potential: Potential
     domain: tuple = (-1.0, 1.0)
-    dims: int = 1
     sup2: float = field(init=False)
     sup3: float = field(init=False)
 
@@ -234,8 +234,6 @@ class HamiltonianModel:
             raise ValueError("domain must be a nonempty interval")
         if self.mass <= 0:
             raise ValueError("mass must be positive")
-        if self.dims != 1:
-            raise ValueError("built-in potentials are one dimensional")
         self.domain = (lo, hi)
         self.sup2 = float(self.potential.sup_hess(lo, hi))
         self.sup3 = float(self.potential.sup_third(lo, hi))

@@ -74,16 +74,13 @@ class ScaleReport:
     d0: float
     z: float                # math.inf when diffusion vanishes
     hbar: float
-    dims: int
     harmonic: bool          # J3 == 0: anharmonic action undefined/infinite
     z_infinite: bool        # D0 == 0: no squeeze control from the theorem
     m_rate: float           # D0 s_H / (hbar tau_H), finite even when harmonic
-    lyapunov: Optional[float] = None  # user-supplied metadata only
 
 
 def compute_scales(model: HamiltonianModel,
-                   diffusion: DiffusionSpec,
-                   lyapunov: Optional[float] = None) -> ScaleReport:
+                   diffusion: DiffusionSpec) -> ScaleReport:
     """Derive every scale in the report from the model and diffusion."""
     m, j2, j3 = model.mass, model.sup2, model.sup3
     hbar = diffusion.hbar
@@ -104,10 +101,8 @@ def compute_scales(model: HamiltonianModel,
     z = math.inf if z_infinite else max(hbar / (tau * drive), 1.0)
     return ScaleReport(
         tau_H=tau, a_H=a, s_H=s, x_H=x, p_H=p,
-        sigma_star=sigma_star(a, hbar, model.dims),
-        d0=d0, z=z, hbar=hbar, dims=model.dims,
-        harmonic=harmonic, z_infinite=z_infinite,
-        m_rate=drive / hbar, lyapunov=lyapunov)
+        sigma_star=sigma_star(a, hbar), d0=d0, z=z, hbar=hbar,
+        harmonic=harmonic, z_infinite=z_infinite, m_rate=drive / hbar)
 
 
 def step_schedule(t_final: float, dt: float, snapshot_times=None):

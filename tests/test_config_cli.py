@@ -133,6 +133,8 @@ class TestHarness:
         assert rep.times == pytest.approx([0.5, 1.0], rel=1e-12)
         for _, times in seen.values():
             assert times == pytest.approx(rep.times, rel=1e-9)
+        # the key sets the evolve-langevin step as well
+        assert harness.Experiment.from_config(cfg).dt_langevin == dt_fp
 
     def test_zero_diffusion_without_cap_rejected(self):
         text = HARMONIC_INI.replace("d_x = 0.05", "d_x = 0.0") \

@@ -20,7 +20,6 @@ from phasemix.mixture import (
     mixture_to_density_grid,
     mixture_to_phase_field,
     split_sdot,
-    step_particle,
     whiten,
     whiten_f,
 )
@@ -32,7 +31,6 @@ from phasemix.potentials import (
     Harmonic,
     hamiltonian_matrix,
 )
-from phasemix.rng import stream_generator
 from phasemix.scales import DiffusionSpec, compute_scales
 
 HARMONIC = HamiltonianModel(1.0, Harmonic(1.0), (-12.0, 12.0))
@@ -190,56 +188,37 @@ class TestSplitSdot:
             split_sdot([0.0, 0.0], bad, WELL, diff, sc, z)
 
 
-class TestStepParticle:
+class TestEvolveMixture:
     def test_harmonic_no_diffusion_matches_exponential(self):
         diff = DiffusionSpec(0.0, 0.0, 1.0)
         sc = compute_scales(HARMONIC, diff)
         z = effective_z(sc, z_cap=3.0)
-        rng = stream_generator(0, 0, 0)
         cov = random_nts_cov(sc, z, np.random.default_rng(8))
+        ens = MixtureEnsemble(np.ones(1), np.array([[0.5, 0.1]]), cov[None],
+                              np.zeros((1, 2, 2)), sc, z, seed=0)
         f = hamiltonian_matrix(HARMONIC, [0.0, 0.0])
         for dt in (0.01, 0.005):
-            _, s1, _ = step_particle([0.5, 0.1], cov, HARMONIC, diff, sc, z,
-                                     dt, rng)
+            _, e1 = evolve_mixture(ens, HARMONIC, diff, dt, dt)[-1]
             exact = expm(f * dt) @ cov @ expm(f.T * dt)
             # projection keeps the det fixed; error per step is O(dt^5)
-            assert np.abs(s1 - exact).max() < 10.0 * dt**5
+            assert np.abs(e1.covs[0] - exact).max() < 10.0 * dt**5
 
     def test_fixed_point_at_sigma_star(self):
         diff = DiffusionSpec(0.0, 0.0, 1.0)
         sc = compute_scales(HARMONIC, diff)
-        z = effective_z(sc, z_cap=3.0)
-        rng = stream_generator(0, 0, 0)
-        _, s1, info = step_particle([0.0, 0.0], sc.sigma_star, HARMONIC,
-                                    diff, sc, z, 0.01, rng)
-        assert np.abs(s1 - sc.sigma_star).max() < 1e-14
-        assert info["nts_violation"] == 0.0
+        ens = coherent_ensemble([0.0, 0.0], sc, seed=0, z_cap=3.0)
+        _, e1 = evolve_mixture(ens, HARMONIC, diff, 0.01, 0.01)[-1]
+        assert np.abs(e1.covs[0] - sc.sigma_star).max() < 1e-14
+        assert all(v == 0 for v in e1.diagnostics.values())
 
-    def test_kick_mean_is_flow(self):
-        diff = DiffusionSpec(0.05, 0.08, 1.0)
-        sc = compute_scales(WELL, diff)
-        z = effective_z(sc)
-        dt = 1e-3
-        alpha0 = np.array([0.4, 0.2])
-        rng = stream_generator(123, 0, 0)
-        outs = np.array([
-            step_particle(alpha0, sc.sigma_star, WELL, diff, sc, z, dt,
-                          rng)[0]
-            for _ in range(4000)])
-        from phasemix.potentials import flow_vector
-        drift = alpha0 + flow_vector(WELL, alpha0) * dt
-        se = outs.std(axis=0, ddof=1) / np.sqrt(outs.shape[0])
-        assert np.abs(outs.mean(axis=0) - drift).max() < 4.0 * se.max() + 1e-7
+    def test_domain_exits_counted(self):
+        model = HamiltonianModel(1.0, Harmonic(1.0), (-1.0, 1.0))
+        diff = DiffusionSpec(0.05, 0.05, 1.0)
+        sc = compute_scales(model, diff)
+        ens = coherent_ensemble([0.9, 2.0], sc, seed=0, z_cap=3.0)
+        _, eT = evolve_mixture(ens, model, diff, 1.0, 0.01)[-1]
+        assert eT.diagnostics["domain_exits"] > 0
 
-    def test_dt_guard(self):
-        diff = DiffusionSpec(0.05, 0.08, 1.0)
-        sc = compute_scales(WELL, diff)
-        with pytest.raises(ValueError, match="tau_H"):
-            step_particle([0.0, 0.0], sc.sigma_star, WELL, diff, sc,
-                          effective_z(sc), sc.tau_H, stream_generator(0, 0, 0))
-
-
-class TestEvolveMixture:
     def test_harmonic_matches_lindblad(self):
         diff = DiffusionSpec(0.05, 0.05, 1.0)
         sc = compute_scales(HARMONIC, diff)
