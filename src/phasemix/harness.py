@@ -14,7 +14,7 @@ artifacts for either report.
 
 import os
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .lindblad import (DensityMatrixGrid, evolve_lindblad, gaussian_to_grid,
 from .mixture import (MixtureEnsemble, effective_z, evolve_mixture,
                       mixture_to_density_grid, mixture_to_phase_field)
 from .potentials import HamiltonianModel
-from .scales import (DiffusionSpec, ScaleReport, compute_scales,
+from .scales import (DiffusionSpec, ScaleReport, budget_z, compute_scales,
                      ehrenfest_time, theorem_epsilon)
 
 __all__ = ["Experiment", "ComparisonReport", "BreakdownReport",
@@ -36,7 +36,12 @@ __all__ = ["Experiment", "ComparisonReport", "BreakdownReport",
 
 @dataclass
 class ComparisonReport:
-    """Distance time series of the mixture against both reference solvers."""
+    """Distance time series of the mixture against both reference solvers.
+
+    `z_budget` is the squeeze bound in the budget epsilon(t); `z_mixture`
+    is the one the mixture enforces (`effective_z`: capped by `z_cap` and
+    floored at `Z_FLOOR`), so the two differ when either applies.
+    """
 
     scales: ScaleReport
     margin: float
@@ -48,6 +53,8 @@ class ComparisonReport:
     passes: List[bool]
     max_squeeze: float
     diagnostics: dict
+    z_budget: Optional[float] = None
+    z_mixture: Optional[float] = None
 
     @property
     def passed(self) -> bool:
@@ -188,7 +195,9 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
                             bound_applicable=bound_applicable, times=times,
                             trace_distances=tds, l1_distances=l1s,
                             epsilons=epss, passes=passes,
-                            max_squeeze=max_squeeze, diagnostics=diagnostics)
+                            max_squeeze=max_squeeze, diagnostics=diagnostics,
+                            z_budget=budget_z(scales, cfg.z_cap),
+                            z_mixture=ens0.z_eff)
 
 
 def _wigner_stats(grid):
@@ -278,6 +287,8 @@ def emit_plots(report, out_dir: str) -> List[str]:
         summary = (f"bound_applicable: {report.bound_applicable}\n"
                    f"margin: {report.margin!r}\n"
                    f"max_squeeze: {report.max_squeeze!r}\n"
+                   f"z_budget: {report.z_budget!r}\n"
+                   f"z_mixture: {report.z_mixture!r}\n"
                    f"passed: {report.passed}\n"
                    f"diagnostics: {sorted(report.diagnostics.items())}\n")
         script = os.path.join(out_dir, "plot_comparison.py")

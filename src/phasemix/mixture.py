@@ -46,6 +46,9 @@ __all__ = [
 ]
 
 Z_FLOOR = 1.05
+# a spilled blur may have a negative eigenvalue down to this (relative)
+# round-off; below it the blur is broken and the spill aborts
+NOISE_ABORT_BELOW = -1e-9
 
 
 def effective_z(scales: ScaleReport, z_cap=None):
@@ -125,9 +128,9 @@ def split_sdot(alpha, sigma, model: HamiltonianModel,
     return sz[0], sd[0]
 
 
-def _noise_sqrt(mat: np.ndarray, abort_below: float = -1e-9) -> np.ndarray:
+def _noise_sqrt(mat: np.ndarray) -> np.ndarray:
     lam, vec = np.linalg.eigh(mat)
-    if lam.min() < abort_below * max(abs(lam).max(), 1.0):
+    if lam.min() < NOISE_ABORT_BELOW * max(abs(lam).max(), 1.0):
         raise RuntimeError(f"noise covariance has eigenvalue {lam.min():.3g}"
                            " beyond tolerance")
     return vec @ np.diag(np.sqrt(np.clip(lam, 0.0, None))) @ vec.T

@@ -29,6 +29,7 @@ __all__ = [
     "ScaleReport",
     "compute_scales",
     "theorem_epsilon",
+    "budget_z",
     "diffusion_threshold",
     "ThresholdError",
     "ehrenfest_time",
@@ -139,15 +140,20 @@ def theorem_epsilon(scales: ScaleReport, t: float, d: int,
         raise ValueError("time must be nonnegative")
     if t == 0.0 or scales.harmonic:
         return 0.0
-    if scales.z_infinite:
-        if z_cap is None:
-            raise ValueError("diffusion strength D0 is zero: the bound needs "
-                             "a user-supplied squeeze cap z_cap")
-        z = z_cap
-    else:
-        z = scales.z
+    z = budget_z(scales, z_cap)
     small = scales.hbar / scales.s_H
     return d**1.5 * (t / scales.tau_H) * math.sqrt(small) * z**1.5
+
+
+def budget_z(scales: ScaleReport, z_cap: Optional[float] = None) -> float:
+    """Squeeze bound z in the budget: the theorem's z, or the user cap
+    when the squeeze bound is infinite (no diffusion)."""
+    if not scales.z_infinite:
+        return scales.z
+    if z_cap is None:
+        raise ValueError("diffusion strength D0 is zero: the bound needs "
+                         "a user-supplied squeeze cap z_cap")
+    return z_cap
 
 
 class ThresholdError(ValueError):

@@ -108,6 +108,13 @@ class TestHarness:
         # coarse 64x64 classical grid: modest but bounded solver error
         assert max(rep.l1_distances) < 0.2
         assert rep.max_squeeze <= 3.0 + 1e-9
+        # the budget keeps the theorem's z; the mixture runs at the cap
+        assert rep.z_budget == rep.scales.z == 20.0
+        assert rep.z_mixture == 3.0
+        emit_plots(rep, str(tmp_path))
+        summary = (tmp_path / "summary.txt").read_text()
+        assert "z_budget: 20.0\n" in summary
+        assert "z_mixture: 3.0\n" in summary
 
     def test_solvers_compared_at_the_same_times(self, monkeypatch):
         # a Fokker-Planck step of t_final / 109 is an odd step count, so

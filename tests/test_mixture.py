@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from phasemix import _kernels
 from phasemix.fokker_planck import l1_distance
 from phasemix.gaussian import random_pure_cov, symplectic_form
 from phasemix.lindblad import (
@@ -49,6 +50,37 @@ def random_nts_cov(scales, z, rng, margin=0.9):
         lam = np.linalg.eigvalsh(whiten(cov, scales))
         if lam.max() <= margin * z and lam.min() >= 1.0 / (margin * z):
             return cov
+
+
+def rasterize_density_reference(x, weights, alphas, covs, hbar):
+    """Every particle evaluated on the full N x N density matrix."""
+    n = x.size
+    rho = np.zeros((n, n), dtype=np.complex128)
+    u0 = 0.5 * (x[:, None] + x[None, :])
+    v = x[:, None] - x[None, :]
+    for k in range(weights.size):
+        mx, mp = alphas[k]
+        sxx, sxp, spp = covs[k, 0, 0], covs[k, 0, 1], covs[k, 1, 1]
+        spp_c = spp - sxp**2 / sxx
+        u = u0 - mx
+        rho += (weights[k] / np.sqrt(2.0 * np.pi * sxx)
+                * np.exp(-u**2 / (2.0 * sxx)
+                         - spp_c * v**2 / (2.0 * hbar**2)
+                         + 1j * (mp + (sxp / sxx) * u) * v / hbar))
+    return rho
+
+
+def rasterize_phase_reference(x, p, weights, alphas, covs):
+    """Every particle evaluated on the full x-by-p phase-space grid."""
+    vals = np.zeros((x.size, p.size))
+    for k in range(weights.size):
+        dx = (x - alphas[k, 0])[:, None]
+        dp = (p - alphas[k, 1])[None, :]
+        sxx, sxp, spp = covs[k, 0, 0], covs[k, 0, 1], covs[k, 1, 1]
+        det = sxx * spp - sxp**2
+        q = (spp * dx**2 - 2.0 * sxp * dx * dp + sxx * dp**2) / det
+        vals += weights[k] / (2.0 * np.pi * np.sqrt(det)) * np.exp(-0.5 * q)
+    return vals
 
 
 class TestEffectiveZ:
@@ -328,6 +360,79 @@ class TestRasterization:
         ens = self._two_particle_ensemble(3.0)
         with pytest.raises(ValueError, match="cover"):
             mixture_to_density_grid(ens, 1.0, 64, -2.0, 2.0)
+
+
+class TestCompactKernels:
+    """The compact rasterizers against the dense reference formulas."""
+
+    HBAR = 0.02
+
+    def particles(self, seed, m=40):
+        """Correlated pure covariances plus random blurs (impure totals);
+        centres inside, near both edges and beyond the [-3, 3] grids;
+        particle 0 entirely off the grid, particles 1 and 2 weightless."""
+        rng = np.random.default_rng(seed)
+        covs = np.stack([random_pure_cov(1, self.HBAR, 1.0, rng, scale=0.8)
+                         for _ in range(m)])
+        assert np.abs(covs[:, 0, 1]).min() > 0.0
+        half = rng.normal(size=(m, 2, 2)) * 0.3 * np.sqrt(self.HBAR)
+        blurs = half @ np.swapaxes(half, 1, 2)
+        blurs[::2] = 0.0
+        alphas = np.column_stack([rng.uniform(-3.6, 3.6, m),
+                                  rng.uniform(-2.5, 2.5, m)])
+        alphas[0] = [40.0, 0.0]
+        alphas[3:7, 0] = [-3.1, -2.9, 2.95, 3.2]
+        weights = rng.random(m)
+        weights[1:3] = 0.0
+        return weights / weights.sum(), alphas, covs + blurs
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_density_matches_dense_reference(self, seed):
+        x = np.linspace(-3.0, 3.0, 180, endpoint=False)
+        args = self.particles(seed)
+        ref = rasterize_density_reference(x, *args, self.HBAR)
+        got = _kernels.rasterize_density(x, *args, self.HBAR)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_phase_matches_dense_reference(self, seed):
+        x = np.linspace(-3.0, 3.0, 150)
+        p = np.linspace(-2.0, 2.5, 110)
+        args = self.particles(seed)
+        ref = rasterize_phase_reference(x, p, *args)
+        got = _kernels.rasterize_phase(x, p, *args)
+        assert np.abs(got - ref).max() <= 1e-14 * ref.max()
+
+    def test_supersampled_phase_field_matches_dense_reference(
+            self, monkeypatch):
+        weights, alphas, covs = self.particles(4)
+        sc = compute_scales(HARMONIC, DiffusionSpec(0.05, 0.05, self.HBAR))
+        ens = MixtureEnsemble(weights, alphas, covs, np.zeros_like(covs), sc,
+                              2.0, seed=0)
+        x = np.linspace(-3.0, 3.0, 64, endpoint=False) + 3.0 / 64
+        p = np.linspace(-2.0, 2.0, 48, endpoint=False) + 2.0 / 48
+        got = mixture_to_phase_field(ens, x, p, supersample=3).values
+        monkeypatch.setattr(_kernels, "rasterize_phase",
+                            rasterize_phase_reference)
+        ref = mixture_to_phase_field(ens, x, p, supersample=3).values
+        assert np.abs(got - ref).max() <= 1e-14 * ref.max()
+
+    def test_off_grid_and_weightless_particles_add_exactly_zero(self):
+        weights, alphas, covs = self.particles(5)
+        w = np.where(np.arange(weights.size) < 3, weights, 0.0)
+        assert w[0] > 0.0
+        x = np.linspace(-3.0, 3.0, 120)
+        assert not _kernels.rasterize_density(x, w, alphas, covs,
+                                              self.HBAR).any()
+        assert not _kernels.rasterize_phase(x, x, w, alphas, covs).any()
+
+    def test_descending_grid_rejected(self):
+        weights, alphas, covs = self.particles(6)
+        x = np.linspace(3.0, -3.0, 50)
+        with pytest.raises(ValueError, match="ascending"):
+            _kernels.rasterize_density(x, weights, alphas, covs, self.HBAR)
+        with pytest.raises(ValueError, match="ascending"):
+            _kernels.rasterize_phase(-x, x, weights, alphas, covs)
 
 
 class TestValidation:
