@@ -39,6 +39,7 @@ class ExperimentConfig:
     p0: float
     # [numerics]
     t_final: float
+    # the Lindblad step; unset, tau_H/100
     dt_quantum: Optional[float] = None
     # the step of both classical solvers; unset, Fokker-Planck takes
     # tau_H/100 and evolve-langevin tau_H/200

@@ -118,7 +118,7 @@ class Experiment:
             lo, hi = -p_half, p_half
         p = lo + (hi - lo) * (np.arange(cfg.n_phase) + 0.5) / cfg.n_phase
         return cls(cfg, model, diffusion, scales, snaps,
-                   cfg.dt_quantum or scales.tau_H / 500.0,
+                   cfg.dt_quantum or scales.tau_H / 100.0,
                    cfg.dt_classical or scales.tau_H / 100.0,
                    cfg.dt_classical or scales.tau_H / 200.0,
                    cfg.dt_mixture or scales.tau_H / 200.0, x, p)

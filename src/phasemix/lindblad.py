@@ -19,6 +19,19 @@ X-dissipator decay acts in the position-pair representation, the kinetic
 phase times the P-dissipator decay in the momentum-pair representation.
 Each factor is exactly completely positive and exactly trace preserving,
 so the step is unconditionally stable and second order in dt.
+
+The momentum-pair representation is taken with one 2-D transform:
+fft2(rho)[k, m] holds the ket momentum p_k and the bra momentum
+p_{-m mod n}, so the momentum factor is built once on that layout and a
+step is half_pos * rho -> fft2 -> * full_mom -> ifft2 -> * half_pos,
+with no index flip at run time.
+
+Without diffusion (D_x = D_p = 0) a rank-1 rho = psi psi^+ stays rank-1.
+When rho0 is rank-1 to round-off (psi, taken from the column of the
+largest diagonal entry, rebuilds rho0 to 1e-12 of its maximum),
+`evolve_lindblad` steps psi through the same split with 1-D transforms
+(the split-operator method of Feit & Fleck 1982) and forms psi psi^+
+only at snapshots, which are checked like those of the density path.
 """
 
 import math
@@ -40,16 +53,6 @@ __all__ = [
     "wigner_transform_grid",
     "trace_distance",
 ]
-
-
-def _to_momentum(rho: np.ndarray) -> np.ndarray:
-    # ket axis carries e^{+ikx}, bra axis e^{-ik'x'}; the inverse pair
-    # below undoes this transform exactly
-    return sfft.fft(sfft.ifft(rho, axis=1), axis=0)
-
-
-def _from_momentum(rho_hat: np.ndarray) -> np.ndarray:
-    return sfft.fft(sfft.ifft(rho_hat, axis=0), axis=1)
 
 
 @dataclass
@@ -177,10 +180,13 @@ def _position_factor(grid: DensityMatrixGrid, model: HamiltonianModel,
 
 def _momentum_factor(grid: DensityMatrixGrid,
                      diffusion: DiffusionSpec) -> np.ndarray:
+    # momentum-pair exponent in the fft2 layout: entry (k, m) belongs to
+    # the ket momentum p_k and the bra momentum p_{-m mod n}
     p = grid.momentum
-    return (-1j * (p[:, None] ** 2 - p[None, :] ** 2)
+    p_bra = p[-np.arange(grid.n) % grid.n]
+    return (-1j * (p[:, None] ** 2 - p_bra[None, :] ** 2)
             / (2.0 * grid.mass * grid.hbar)
-            - diffusion.d_x * (p[:, None] - p[None, :]) ** 2
+            - diffusion.d_x * (p[:, None] - p_bra[None, :]) ** 2
             / (2.0 * grid.hbar**2))
 
 
@@ -190,9 +196,23 @@ def apply_lindbladian(grid: DensityMatrixGrid, model: HamiltonianModel,
     if diffusion.hbar != grid.hbar:
         raise ValueError("diffusion spec and grid disagree on hbar")
     deriv = _position_factor(grid, model, diffusion) * grid.rho
-    rho_hat = _to_momentum(grid.rho)
-    deriv += _from_momentum(_momentum_factor(grid, diffusion) * rho_hat)
+    deriv += sfft.ifft2(_momentum_factor(grid, diffusion)
+                        * sfft.fft2(grid.rho))
     return deriv
+
+
+def _pure_column(rho0: DensityMatrixGrid, diffusion: DiffusionSpec):
+    """psi with psi psi^+ = rho0 to 1e-12 of max|rho0|, if the run is
+    noiseless and rho0 is rank-1; None otherwise.  O(n^2)."""
+    if diffusion.d_x != 0.0 or diffusion.d_p != 0.0:
+        return None
+    rho = rho0.rho
+    j = int(np.argmax(rho.diagonal().real))
+    if rho[j, j].real <= 0.0:
+        return None
+    psi = rho[:, j] / math.sqrt(rho[j, j].real)
+    defect = np.abs(np.outer(psi, psi.conj()) - rho).max()
+    return psi if defect <= 1e-12 * np.abs(rho).max() else None
 
 
 def evolve_lindblad(rho0: DensityMatrixGrid, model: HamiltonianModel,
@@ -200,34 +220,56 @@ def evolve_lindblad(rho0: DensityMatrixGrid, model: HamiltonianModel,
                     snapshot_times=None, edge_tol: float = 1e-6):
     """Integrate the master equation; returns [(t, DensityMatrixGrid)].
 
-    Snapshots are checked against the Hermiticity / trace / positivity
-    invariants and the boundary-occupation bound; violations abort with
-    the step index.
+    A noiseless run (D_x = D_p = 0) from a rank-1 rho0 evolves the
+    wavefunction instead, with the same split on 1-D transforms, and
+    forms psi psi^+ only at snapshots.  Every snapshot is checked against
+    the Hermiticity / trace / positivity invariants and the
+    boundary-occupation bound; violations abort with the step index.
     """
     n_steps, dt, snap_steps = step_schedule(t_final, dt, snapshot_times)
 
-    rho = rho0.rho.copy()
-    out = [(0.0, DensityMatrixGrid(rho0.x, rho.copy(), rho0.hbar, rho0.mass))]
+    def snapshot(i, rho):
+        snap = DensityMatrixGrid(rho0.x, rho, rho0.hbar, rho0.mass)
+        try:
+            snap.check_invariants()
+            if snap.edge_mass() > edge_tol:
+                raise RuntimeError(
+                    f"boundary occupation {snap.edge_mass():.3g} exceeds "
+                    f"{edge_tol}; enlarge the grid")
+        except RuntimeError as exc:
+            raise RuntimeError(f"step {i}: {exc}") from None
+        return i * dt, snap
+
+    out = [(0.0, DensityMatrixGrid(rho0.x, rho0.rho.copy(), rho0.hbar,
+                                   rho0.mass))]
+    psi = _pure_column(rho0, diffusion)
+    if psi is not None:
+        # split-operator step (Feit & Fleck 1982): the factors of the
+        # density step below are half_v[a] conj(half_v[b]) and
+        # kin[k] conj(kin[-m])
+        v = np.asarray(model.potential.value(rho0.x), dtype=float)
+        half_v = np.exp(-0.5j * dt * v / rho0.hbar)
+        kin = np.exp(-1j * dt * rho0.momentum**2
+                     / (2.0 * rho0.mass * rho0.hbar))
+        for i in range(1, n_steps + 1):
+            psi = half_v * sfft.ifft(kin * sfft.fft(half_v * psi))
+            if i in snap_steps:
+                out.append(snapshot(i, np.outer(psi, psi.conj())))
+        return out
+
     half_pos = np.exp(_position_factor(rho0, model, diffusion) * 0.5 * dt)
     full_mom = np.exp(_momentum_factor(rho0, diffusion) * dt)
-
+    # each step writes only to the new array its first product makes, so
+    # the transforms and later products run in place and rho0.rho is
+    # never overwritten
+    rho = rho0.rho
     for i in range(1, n_steps + 1):
-        rho = _from_momentum(full_mom * _to_momentum(half_pos * rho))
-        # a named right operand: numpy may reuse an unnamed temporary in
-        # place, which swaps the factors and rounds the product differently
-        rho = half_pos * rho
+        rho = sfft.fft2(half_pos * rho, overwrite_x=True)
+        rho *= full_mom
+        rho = sfft.ifft2(rho, overwrite_x=True)
+        rho *= half_pos
         if i in snap_steps:
-            snap = DensityMatrixGrid(rho0.x, rho.copy(), rho0.hbar,
-                                     rho0.mass)
-            try:
-                snap.check_invariants()
-                if snap.edge_mass() > edge_tol:
-                    raise RuntimeError(
-                        f"boundary occupation {snap.edge_mass():.3g} exceeds "
-                        f"{edge_tol}; enlarge the grid")
-            except RuntimeError as exc:
-                raise RuntimeError(f"step {i}: {exc}") from None
-            out.append((i * dt, snap))
+            out.append(snapshot(i, rho.copy()))
     return out
 
 

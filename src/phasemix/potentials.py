@@ -25,8 +25,6 @@ __all__ = [
     "HamiltonianModel",
     "QuadraticExpansion",
     "harmonic_expansion",
-    "taylor_remainder_bound",
-    "flow_vector",
     "hamiltonian_matrix",
 ]
 
@@ -218,8 +216,7 @@ class HamiltonianModel:
     domain[1]], not over all of space: the polynomial test potentials have
     unbounded derivatives globally, while the bounds only need to hold on
     the region the dynamics explore.  Domain exits during dynamics are
-    warned about (`flow_vector`) or counted (`evolve_mixture`), not
-    failures.
+    counted (`evolve_mixture`), not failures.
     """
 
     mass: float
@@ -272,38 +269,15 @@ def harmonic_expansion(model: HamiltonianModel, a_x: float) -> QuadraticExpansio
     )
 
 
-def taylor_remainder_bound(model: HamiltonianModel, dx) -> float:
-    """Upper bound sup|V'''| |dx|^3 / 6 on the quadratic-expansion error."""
-    r = float(np.linalg.norm(np.atleast_1d(dx)))
-    return model.sup3 * r**3 / 6.0
-
-
-def flow_vector(model: HamiltonianModel, alpha) -> np.ndarray:
-    """Diffusionless phase-space flow (p/m, -grad V) at alpha = (x, p).
-
-    Evaluation outside the declared domain proceeds by extension but emits
-    a warning, since the sup-derivative bounds no longer cover the point.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    d = alpha.size // 2
-    x, p = alpha[:d], alpha[d:]
-    if not model.in_domain(x):
-        import warnings
-
-        warnings.warn(f"flow evaluated outside declared domain {model.domain}; "
-                      "sup-derivative bounds unverified here")
-    return np.concatenate([p / model.mass, -np.atleast_1d(model.potential.grad(x))])
-
-
 def hamiltonian_matrix(model: HamiltonianModel, alpha) -> np.ndarray:
     """Linearized flow generator F = [[0, I/m], [-V''(x), 0]] at alpha.
 
-    F is the Jacobian of the flow vector, so that means obey da/dt = F a
-    near a fixed point and covariances obey ds/dt = F s + s F^T + D; both
-    are validated against the grid solver in the harmonic case.  F
-    satisfies F^T Omega + Omega F = 0, and the whitened version has
-    operator norm at most 1/tau_H whenever the local Hessian obeys the sup
-    bound.
+    F is the Jacobian of the flow (p/m, -V'(x)), so that means obey
+    da/dt = F a near a fixed point and covariances obey
+    ds/dt = F s + s F^T + D; both are validated against the grid solver
+    in the harmonic case.  F satisfies F^T Omega + Omega F = 0, and the
+    whitened version has operator norm at most 1/tau_H whenever the local
+    Hessian obeys the sup bound.
     """
     alpha = np.asarray(alpha, dtype=float)
     d = alpha.size // 2

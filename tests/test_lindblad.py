@@ -1,8 +1,13 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from scipy.integrate import solve_ivp
 
-from phasemix import _kernels
+from phasemix import _kernels, lindblad
+from phasemix.config import parse_config
 from phasemix.gaussian import GaussianState, sigma_star
 from phasemix.lindblad import (
     DensityMatrixGrid,
@@ -13,8 +18,9 @@ from phasemix.lindblad import (
     wigner_transform_grid,
 )
 from phasemix.fokker_planck import gaussian_phase_field
+from phasemix.harness import Experiment
 from phasemix.potentials import HamiltonianModel, Harmonic, hamiltonian_matrix
-from phasemix.scales import DiffusionSpec
+from phasemix.scales import DiffusionSpec, step_schedule
 
 HARMONIC = HamiltonianModel(1.0, Harmonic(1.0), (-12.0, 12.0))
 NO_DIFF = DiffusionSpec(0.0, 0.0, 1.0)
@@ -308,3 +314,92 @@ class TestTraceDistance:
         g2 = coherent_grid(n=128)
         with pytest.raises(ValueError):
             trace_distance(g1, g2)
+
+
+def evolve_density_reference(rho0, model, diffusion, t_final, dt,
+                             snapshot_times=None):
+    """The density split loop with the ket/bra momentum pair taken as
+    fft(ifft(., axis=1), axis=0) and undone by fft(ifft(., axis=0),
+    axis=1); returns the snapshot matrices, t = 0 first, unchecked."""
+    n_steps, dt, snap_steps = step_schedule(t_final, dt, snapshot_times)
+    p = rho0.momentum
+    mom = (-1j * (p[:, None] ** 2 - p[None, :] ** 2)
+           / (2.0 * rho0.mass * rho0.hbar)
+           - diffusion.d_x * (p[:, None] - p[None, :]) ** 2
+           / (2.0 * rho0.hbar**2))
+    half_pos = np.exp(lindblad._position_factor(rho0, model, diffusion)
+                      * 0.5 * dt)
+    full_mom = np.exp(mom * dt)
+    rho = rho0.rho
+    out = [rho.copy()]
+    for i in range(1, n_steps + 1):
+        rho_hat = sfft.fft(sfft.ifft(half_pos * rho, axis=1), axis=0)
+        rho = half_pos * sfft.fft(sfft.ifft(full_mom * rho_hat, axis=0),
+                                  axis=1)
+        if i in snap_steps:
+            out.append(rho)
+    return out
+
+
+def assert_matches_reference(traj, ref):
+    assert len(traj) == len(ref)
+    for (_, g), r in zip(traj, ref):
+        assert np.abs(g.rho - r).max() <= 1e-12
+
+
+def well_breakdown_experiment():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return Experiment.from_config(
+        parse_config(inputs.make_ini("well_breakdown", 11)))
+
+
+class TestPathsMatchReference:
+    def test_wavefunction_path_harmonic_circle(self):
+        g0 = coherent_grid(mean=(1.0, 0.0))
+        period = 2.0 * np.pi
+        args = (g0, HARMONIC, NO_DIFF, period, period / 4000)
+        snaps = [period / 4, period]
+        assert_matches_reference(
+            evolve_lindblad(*args, snapshot_times=snaps),
+            evolve_density_reference(*args, snapshot_times=snaps))
+
+    def test_wavefunction_path_well_breakdown(self):
+        exp = well_breakdown_experiment()
+        cfg = exp.cfg
+        args = (exp.rho0(), exp.model, DiffusionSpec(0.0, 0.0, cfg.hbar),
+                cfg.t_final, exp.dt_quantum)
+        traj = evolve_lindblad(*args, snapshot_times=exp.snapshot_times,
+                               edge_tol=cfg.edge_tol)
+        assert_matches_reference(
+            traj, evolve_density_reference(
+                *args, snapshot_times=exp.snapshot_times))
+
+    def test_fft2_density_step_with_diffusion(self):
+        g0 = coherent_grid(mean=(1.0, -0.5))
+        rho0 = g0.rho.copy()
+        args = (g0, HARMONIC, DiffusionSpec(0.02, 0.05, 1.0), 1.0, 0.01)
+        # comparing every snapshot after the run also shows that the
+        # in-place step never overwrites a stored one, nor rho0
+        assert_matches_reference(
+            evolve_lindblad(*args, snapshot_times=[0.5, 1.0]),
+            evolve_density_reference(*args, snapshot_times=[0.5, 1.0]))
+        assert np.array_equal(g0.rho, rho0)
+
+    def test_rank_two_noiseless_is_the_weighted_sum(self):
+        # a mixed rho0 must take the density path even without diffusion;
+        # the channel is linear, so it equals the weighted pure runs
+        g1 = coherent_grid(mean=(1.0, 0.0))
+        g2 = coherent_grid(mean=(-1.5, 0.5))
+        w1, w2 = 0.3, 0.7
+        mixed = DensityMatrixGrid(g1.x, w1 * g1.rho + w2 * g2.rho, 1.0, 1.0)
+        assert lindblad._pure_column(g1, NO_DIFF) is not None
+        assert lindblad._pure_column(mixed, NO_DIFF) is None
+        run = [evolve_lindblad(g, HARMONIC, NO_DIFF, 1.0, 0.01,
+                               snapshot_times=[0.5, 1.0])
+               for g in (mixed, g1, g2)]
+        for (_, gm), (_, e1), (_, e2) in zip(*run):
+            assert np.abs(gm.rho - (w1 * e1.rho + w2 * e2.rho)).max() \
+                <= 1e-12

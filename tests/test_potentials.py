@@ -8,11 +8,9 @@ from phasemix.potentials import (
     DoubleWell,
     HamiltonianModel,
     Harmonic,
-    flow_vector,
     hamiltonian_matrix,
     harmonic_expansion,
     make_potential,
-    taylor_remainder_bound,
 )
 
 ALL_MODELS = [
@@ -76,18 +74,14 @@ class TestExpansion:
 
 
 class TestRemainder:
+    # sup|V'''| |dx|^3 / 6 bounds the quadratic-expansion error
     def test_quadratic_zero(self):
-        assert taylor_remainder_bound(ALL_MODELS[0], 3.0) == 0.0
+        assert ALL_MODELS[0].sup3 == 0.0
 
     def test_quartic_dominates(self):
         model = HamiltonianModel(1.0, DoubleWell(0.25, 0.0), (-2.0, 2.0))
         # remainder of x^4/4 about 0 at dx=1 is 1/4; bound is 12/6 = 2
-        assert taylor_remainder_bound(model, 1.0) == pytest.approx(2.0)
-
-    def test_cubic_scaling(self):
-        model = ALL_MODELS[3]
-        assert taylor_remainder_bound(model, 2.0) == pytest.approx(
-            8 * taylor_remainder_bound(model, 1.0))
+        assert model.sup3 / 6.0 == pytest.approx(2.0)
 
     @pytest.mark.parametrize("model", ALL_MODELS[1:],
                              ids=lambda m: type(m.potential).__name__)
@@ -99,26 +93,11 @@ class TestRemainder:
             dx = rng.uniform(lo - a, hi - a)
             exp = harmonic_expansion(model, a)
             true = abs(float(model.potential.value(a + dx)) - exp(a + dx))
-            assert true <= taylor_remainder_bound(model, dx) * (1 + 1e-9) + 1e-12
+            bound = model.sup3 * abs(dx) ** 3 / 6.0
+            assert true <= bound * (1 + 1e-9) + 1e-12
 
 
 class TestFlowAndF:
-    def test_harmonic_flow(self):
-        assert np.allclose(flow_vector(ALL_MODELS[0], [1.0, 0.0]), [0.0, -1.0])
-
-    def test_kinetic_component(self):
-        model = HamiltonianModel(2.0, Harmonic(1.0), (-10, 10))
-        assert flow_vector(model, [0.0, 2.0])[0] == pytest.approx(1.0)
-
-    def test_pendulum_flow(self):
-        model = HamiltonianModel(1.0, Cosine(1.0, 1.0), (-np.pi, np.pi))
-        assert np.allclose(flow_vector(model, [np.pi / 2, 0.0]), [0.0, -1.0])
-
-    def test_domain_exit_warns_but_evaluates(self):
-        with pytest.warns(UserWarning):
-            v = flow_vector(ALL_MODELS[1], [3.0, 0.0])
-        assert np.isfinite(v).all()
-
     def test_harmonic_matrix_and_whitened_norm(self):
         model = ALL_MODELS[0]
         f = hamiltonian_matrix(model, [1.0, 0.0])
