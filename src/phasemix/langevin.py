@@ -1,12 +1,18 @@
 """Stochastic particle counterpart of the Fokker-Planck dynamics.
 
-An ensemble of trajectories follows the Euler-Maruyama discretization
+An ensemble of trajectories follows the simplified weak Euler scheme
+(Kloeden & Platen 1992, section 14.1)
 
     dx = (p/m) dt + sqrt(D_x dt) xi_1
     dp = -V'(x) dt + sqrt(D_p dt) xi_2
 
-with independent standard normals drawn from a counter-based generator, so
-a run is reproducible from (seed, stream) alone regardless of chunking.
+the Euler-Maruyama update with two-point increments: xi_1, xi_2 are
+independent fair signs +-1 instead of standard normals.  They have the
+Gaussian increments' mean and covariance, so the ensemble's law converges
+with the same weak order 1 (Talay & Tubaro 1990); the individual paths do
+not converge and carry no meaning, only the distribution does.  The signs
+are raw bits of a counter-based generator, 64 increments per 64-bit word,
+so a run is reproducible from (seed, stream) alone regardless of chunking.
 """
 
 import math
@@ -16,7 +22,7 @@ import numpy as np
 
 from .fokker_planck import PhaseField
 from .potentials import HamiltonianModel
-from .rng import LANGEVIN_STREAM, stream_generator, stream_normals
+from .rng import LANGEVIN_STREAM, stream_normals, stream_signs
 from .scales import DiffusionSpec, step_schedule
 
 __all__ = [
@@ -53,34 +59,51 @@ class LangevinEnsemble:
 
 
 def sample_gaussian_ensemble(mean, cov, m: int, seed: int) -> LangevinEnsemble:
-    """Draw M phase-space points from a Gaussian via the counter-based RNG."""
-    rng = stream_generator(seed, LANGEVIN_STREAM, step=0)
-    pts = rng.multivariate_normal(np.asarray(mean, float),
-                                  np.asarray(cov, float), size=m,
-                                  method="cholesky")
+    """Draw M phase-space points from a Gaussian via the counter-based RNG.
+
+    The noise is step 0 of the Langevin stream, which no step of
+    `evolve_langevin_ensemble` uses.
+    """
+    factor = np.linalg.cholesky(np.asarray(cov, float))
+    pts = np.asarray(mean, float) + stream_normals(
+        seed, LANGEVIN_STREAM, 0, (m, 2)) @ factor.T
     return LangevinEnsemble(pts[:, 0], pts[:, 1], seed)
 
 
 def evolve_langevin_ensemble(ens: LangevinEnsemble, model: HamiltonianModel,
                              diffusion: DiffusionSpec, t_final: float,
                              dt: float) -> LangevinEnsemble:
-    """Euler-Maruyama integration of the whole ensemble.
+    """Weak Euler integration of the whole ensemble with +-sqrt(D dt) kicks.
 
-    The noise for step k is keyed by (ens.seed, LANGEVIN_STREAM,
-    steps_taken + k), so continuing a run in pieces reproduces the
-    single-shot result exactly.
+    The signs for step k are the bits of the (ens.seed, LANGEVIN_STREAM,
+    steps_taken + k) block: bits [0, M) kick x and bits [M, 2M) kick p.
+    Continuing a run in pieces therefore reproduces the single-shot result
+    exactly.
     """
     n_steps, dt, _ = step_schedule(t_final, dt)
     x = ens.x.copy()
     p = ens.p.copy()
+    m = x.size
     sx = math.sqrt(diffusion.d_x * dt)
     sp = math.sqrt(diffusion.d_p * dt)
+    kick = np.empty(m)
+    buf = np.empty(m)
     for k in range(n_steps):
-        xi = stream_normals(ens.seed, LANGEVIN_STREAM,
-                            ens.steps_taken + 1 + k, (2, x.size))
+        bits = stream_signs(ens.seed, LANGEVIN_STREAM,
+                            ens.steps_taken + 1 + k, 2 * m)
         grad = np.asarray(model.potential.grad(x))
-        x += (p / model.mass) * dt + sx * xi[0]
-        p += -grad * dt + sp * xi[1]
+        # bit b gives the kick 2 s b - s, which is exactly +-s
+        np.multiply(bits[:m], 2.0 * sx, out=kick)
+        kick -= sx
+        np.divide(p, model.mass, out=buf)
+        buf *= dt
+        buf += kick
+        x += buf
+        np.multiply(bits[m:], 2.0 * sp, out=kick)
+        kick -= sp
+        np.multiply(grad, -dt, out=buf)
+        buf += kick
+        p += buf
     return LangevinEnsemble(x, p, ens.seed, ens.steps_taken + n_steps)
 
 

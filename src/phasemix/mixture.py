@@ -212,7 +212,7 @@ def _batch_split_sdot(alphas, covs, model, diffusion, scales, z):
     mm = m_matrix(st, scales, z)
     a = ft - mm
     sz_t = a @ st + st @ a.transpose(0, 2, 1)
-    d_t = whiten(diffusion.matrix(1), scales)
+    d_t = whiten(diffusion.matrix(), scales)
     sd_t = d_t[None, :, :] + mm @ st + st @ mm
     grad = np.atleast_1d(model.potential.grad(alphas[:, 0]))
     flow = np.stack([alphas[:, 1] / model.mass, -grad], axis=1)

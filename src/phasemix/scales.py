@@ -57,9 +57,9 @@ class DiffusionSpec:
         if self.hbar <= 0:
             raise ValueError("hbar must be positive")
 
-    def matrix(self, d: int = 1) -> np.ndarray:
-        return np.diag(np.concatenate([np.full(d, self.d_x),
-                                       np.full(d, self.d_p)]))
+    def matrix(self) -> np.ndarray:
+        """The 2x2 phase-space diffusion matrix diag(D_x, D_p)."""
+        return np.diag([self.d_x, self.d_p])
 
 
 @dataclass

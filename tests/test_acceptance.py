@@ -198,7 +198,7 @@ class TestAcceptance:
             alpha = np.array([rng.uniform(-half, half), rng.normal()])
             sz, sd = split_sdot(alpha, sigma, model, diffusion, sc, z)
             f = hamiltonian_matrix(model, alpha)
-            full = f @ sigma + sigma @ f.T + diffusion.matrix(1)
+            full = f @ sigma + sigma @ f.T + diffusion.matrix()
             scale = max(np.abs(full).max(), 1.0)
             worst_split = max(worst_split,
                               float(np.abs(sz + sd - full).max()) / scale)

@@ -261,7 +261,7 @@ class TestSolver:
         t = 0.8
         _, ff = evolve_fokker_planck(f0, HARMONIC, diff, t, 0.004)[-1]
         fmat = hamiltonian_matrix(HARMONIC, [0.0, 0.0])
-        d = diff.matrix(1)
+        d = diff.matrix()
         sol = solve_ivp(
             lambda _, y: (fmat @ y.reshape(2, 2)
                           + y.reshape(2, 2) @ fmat.T + d).ravel(),

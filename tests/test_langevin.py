@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -7,7 +9,7 @@ from phasemix.fokker_planck import (
     gaussian_phase_field,
     l1_distance,
 )
-from phasemix import mixture
+from phasemix import langevin, mixture
 from phasemix.langevin import (
     LangevinEnsemble,
     ensemble_histogram,
@@ -15,10 +17,94 @@ from phasemix.langevin import (
     sample_gaussian_ensemble,
 )
 from phasemix.potentials import DoubleWell, HamiltonianModel, Harmonic
-from phasemix.scales import DiffusionSpec, compute_scales
+from phasemix.rng import (LANGEVIN_STREAM, stream_generator, stream_normals,
+                          stream_signs)
+from phasemix.scales import (DiffusionSpec, compute_scales,
+                             diffusion_threshold, step_schedule)
 
 HARMONIC = HamiltonianModel(1.0, Harmonic(1.0), (-8.0, 8.0))
 NO_DIFF = DiffusionSpec(0.0, 0.0, 1.0)
+# one step moves each sample by its kick alone, to within 1e-11
+FROZEN = HamiltonianModel(1e12, Harmonic(1e-10), (-8.0, 8.0))
+
+
+def gaussian_euler_maruyama(ens, model, diffusion, t_final, dt):
+    """Euler-Maruyama with standard normal increments: the reference law."""
+    n_steps, dt, _ = step_schedule(t_final, dt)
+    x = ens.x.copy()
+    p = ens.p.copy()
+    sx = math.sqrt(diffusion.d_x * dt)
+    sp = math.sqrt(diffusion.d_p * dt)
+    for k in range(n_steps):
+        xi = stream_normals(ens.seed, LANGEVIN_STREAM,
+                            ens.steps_taken + 1 + k, (2, x.size))
+        grad = np.asarray(model.potential.grad(x))
+        x += (p / model.mass) * dt + sx * xi[0]
+        p += -grad * dt + sp * xi[1]
+    return LangevinEnsemble(x, p, ens.seed, ens.steps_taken + n_steps)
+
+
+def acceptance_eleven_well():
+    """The double well of acceptance 11: hbar/s_H = 1e-3 and D0 three
+    times the threshold for 0.3 at 5 tau_H."""
+    well = HamiltonianModel(1.0, DoubleWell(0.25, 1.0), (-3.0, 3.0))
+    s_h = compute_scales(well, DiffusionSpec(1.0, 1.0, 1.0)).s_H
+    sc = compute_scales(well, DiffusionSpec(1.0, 1.0, 1e-3 * s_h))
+    d0 = 3.0 * diffusion_threshold(sc, 0.3, 5.0 * sc.tau_H, 1)
+    diff = DiffusionSpec(d0 * sc.x_H**2 / sc.tau_H,
+                         d0 * sc.p_H**2 / sc.tau_H, sc.hbar)
+    return well, diff, compute_scales(well, diff)
+
+
+def test_stream_signs_bit_order_and_balance():
+    seed, step, n = 5, 3, 150
+    raw = np.random.Philox(
+        key=np.array([seed, 0], dtype=np.uint64),
+        counter=np.array([0, 0, step, LANGEVIN_STREAM], dtype=np.uint64),
+    ).random_raw(3)
+    want = [(int(raw[i // 64]) >> (i % 64)) & 1 for i in range(n)]
+    assert stream_signs(seed, LANGEVIN_STREAM, step, n).tolist() == want
+
+    m = 500_000
+    signs = 2.0 * stream_signs(seed, LANGEVIN_STREAM, 1, 2 * m) - 1.0
+    se = 1.0 / math.sqrt(m)
+    assert abs(signs[:m].mean()) < 4 * se
+    assert abs(signs[m:].mean()) < 4 * se
+    assert abs((signs[:m] * signs[m:]).mean()) < 4 * se
+
+
+def test_increments_are_the_step_blocks_bits():
+    # kicks of exactly +-sqrt(D dt): x from bits [0, M) and p from bits
+    # [M, 2M) of the (seed, LANGEVIN_STREAM, steps_taken + k) block
+    m, seed, dt = 100, 7, 0.25
+    diff = DiffusionSpec(1.0, 4.0, 1.0)
+    ens = LangevinEnsemble(np.zeros(m), np.zeros(m), seed, steps_taken=2)
+    one = evolve_langevin_ensemble(ens, FROZEN, diff, dt, dt)
+    assert set(np.abs(one.x)) == {0.5} and set(np.abs(one.p)) == {1.0}
+    out = evolve_langevin_ensemble(ens, FROZEN, diff, 3 * dt, dt)
+    signs = sum(2.0 * stream_signs(seed, LANGEVIN_STREAM, k, 2 * m) - 1.0
+                for k in (3, 4, 5))
+    assert np.allclose(out.x, 0.5 * signs[:m], rtol=0.0, atol=1e-9)
+    assert np.allclose(out.p, 1.0 * signs[m:], rtol=0.0, atol=1e-9)
+
+
+def test_weak_increments_keep_the_gaussian_law():
+    # both schemes from the same initial sample: per-particle differences
+    # give the standard error of the mean and covariance differences
+    well, diff, sc = acceptance_eleven_well()
+    m = 200_000
+    ens = sample_gaussian_ensemble([0.5, 0.0], sc.sigma_star, m, seed=23)
+    dt = sc.tau_H / 200.0
+    a = evolve_langevin_ensemble(ens, well, diff, sc.tau_H, dt)
+    b = gaussian_euler_maruyama(ens, well, diff, sc.tau_H, dt)
+    za, zb = np.vstack([a.x, a.p]), np.vstack([b.x, b.p])
+    diffs = list(za - zb)
+    ua = za - za.mean(axis=1, keepdims=True)
+    ub = zb - zb.mean(axis=1, keepdims=True)
+    diffs += [ua[i] * ua[j] - ub[i] * ub[j] for i, j in ((0, 0), (0, 1),
+                                                         (1, 1))]
+    for d in diffs:
+        assert abs(d.mean()) < 4.0 * d.std(ddof=1) / math.sqrt(m)
 
 
 def test_sampling_moments_and_reproducibility():
@@ -29,6 +115,10 @@ def test_sampling_moments_and_reproducibility():
     assert np.abs(got - cov).max() < 0.01
     ens2 = sample_gaussian_ensemble([0.5, -0.2], cov, 200_000, seed=42)
     assert np.array_equal(ens.x, ens2.x) and np.array_equal(ens.p, ens2.p)
+    # the same points as numpy's Cholesky sampler on the same block
+    ref = stream_generator(42, LANGEVIN_STREAM, 0).multivariate_normal(
+        [0.5, -0.2], cov, size=200_000, method="cholesky")
+    assert np.array_equal(np.column_stack([ens.x, ens.p]), ref)
 
 
 def test_deterministic_limit_tracks_rk_reference():
@@ -49,7 +139,7 @@ def test_harmonic_diffusion_covariance_oracle():
     ens = sample_gaussian_ensemble([0.0, 0.0], cov0, m, seed=7)
     t, dt = 1.0, 0.002
     out = evolve_langevin_ensemble(ens, HARMONIC, diff, t, dt)
-    d = diff.matrix(1)
+    d = diff.matrix()
     f = np.array([[0.0, 1.0], [-1.0, 0.0]])
     sol = solve_ivp(lambda _, y: (f @ y.reshape(2, 2) + y.reshape(2, 2) @ f.T
                                   + d).ravel(),
@@ -110,18 +200,21 @@ def test_shape_validation():
 
 
 def test_noise_is_not_a_mixture_particles_kick(monkeypatch):
-    # mixture particle i spills on stream i; at the same (seed, step) the
-    # Langevin noise must not repeat any particle's kick
+    # mixture particle i spills on the (seed, i, step) counter block; at the
+    # same (seed, step) the Langevin increments must come from another block
     seed = 7
-    kicks = []
-    draw = mixture.stream_normals
+    blocks = {"mixture": [], "langevin": []}
 
-    def spy(seed, stream, step, shape):
-        xi = draw(seed, stream, step, shape)
-        kicks.append(xi)
-        return xi
+    def spy(owner, name, key):
+        draw = getattr(owner, name)
 
-    monkeypatch.setattr(mixture, "stream_normals", spy)
+        def recorded(seed, stream, step, shape):
+            blocks[key].append((seed, stream, step))
+            return draw(seed, stream, step, shape)
+        monkeypatch.setattr(owner, name, recorded)
+
+    spy(mixture, "stream_normals", "mixture")
+    spy(langevin, "stream_signs", "langevin")
     well = HamiltonianModel(1.0, DoubleWell(0.25, 1.0), (-3.0, 3.0))
     diff = DiffusionSpec(0.3, 0.5, 1.0)
     sc = compute_scales(well, diff)
@@ -130,14 +223,11 @@ def test_noise_is_not_a_mixture_particles_kick(monkeypatch):
         covs=np.tile(sc.sigma_star, (4, 1, 1)), blurs=np.zeros((4, 2, 2)),
         scales=sc, z_eff=mixture.effective_z(sc), seed=seed)
     mixture.evolve_mixture(ens, well, diff, 0.001, 0.001, blur_cap=1e-12)
-    assert len(kicks) == 4          # every particle spilled at step 1
+    # every particle spilled at step 1
+    assert sorted(blocks["mixture"]) == [(seed, i, 1) for i in range(4)]
 
-    # frozen drift and unit noise: one step moves each sample by its noise
-    frozen = HamiltonianModel(1e12, Harmonic(1e-10), (-8.0, 8.0))
-    ens = LangevinEnsemble(np.zeros(1), np.zeros(1), seed=seed)
-    out = evolve_langevin_ensemble(ens, frozen, DiffusionSpec(1.0, 1.0, 1.0),
+    ens = LangevinEnsemble(np.zeros(4), np.zeros(4), seed=seed)
+    out = evolve_langevin_ensemble(ens, FROZEN, DiffusionSpec(1.0, 1.0, 1.0),
                                    1.0, 1.0)
-    noise = np.array([out.x[0], out.p[0]])
-    assert np.all(noise != 0.0)
-    for kick in kicks:
-        assert not np.allclose(kick, noise)
+    assert blocks["langevin"] == [(seed, LANGEVIN_STREAM, 1)]
+    assert np.all(np.abs(out.x) == 1.0) and np.all(np.abs(out.p) == 1.0)

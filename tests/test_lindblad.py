@@ -156,7 +156,7 @@ class TestDecoherenceRate:
 
 def _cov_ode_solution(cov0, diffusion, t):
     f = hamiltonian_matrix(HARMONIC, [0.0, 0.0])
-    d = diffusion.matrix(1)
+    d = diffusion.matrix()
 
     def rhs(_, y):
         s = y.reshape(2, 2)

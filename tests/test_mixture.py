@@ -161,7 +161,7 @@ class TestSplitSdot:
         sc = compute_scales(model, diff)
         z = effective_z(sc, z_cap=3.0)
         omega = symplectic_form(1)
-        d = diff.matrix(1)
+        d = diff.matrix()
         for _ in range(250):
             alpha = [rng.uniform(*model.domain), rng.normal()]
             cov = random_nts_cov(sc, z, rng)
@@ -187,7 +187,7 @@ class TestSplitSdot:
         f = hamiltonian_matrix(HARMONIC, [0.3, -0.2])
         ref = f @ sc.sigma_star + sc.sigma_star @ f.T
         assert np.abs(sz - ref).max() < 1e-12
-        assert np.abs(sd - diff.matrix(1)).max() < 1e-12
+        assert np.abs(sd - diff.matrix()).max() < 1e-12
 
     def test_boundary_non_crossing(self):
         rng = np.random.default_rng(4)

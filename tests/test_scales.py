@@ -231,8 +231,8 @@ def test_diffusion_spec_validation():
         DiffusionSpec(-0.1, 0.0, 1.0)
     with pytest.raises(ValueError):
         DiffusionSpec(0.1, 0.1, 0.0)
-    mat = DiffusionSpec(0.25, 0.5, 1.0).matrix(2)
-    assert np.allclose(np.diag(mat), [0.25, 0.25, 0.5, 0.5])
+    mat = DiffusionSpec(0.25, 0.5, 1.0).matrix()
+    assert np.array_equal(mat, np.diag([0.25, 0.5]))
 
 
 class TestStepSchedule:
