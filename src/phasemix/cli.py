@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Each subcommand reads an experiment config (INI), applies any flag
-overrides, runs the requested solver or report, prints a text summary,
-and writes CSV files with fixed column orders into the output directory.
-Identical config and seed produce byte-identical outputs.
+Each subcommand reads an experiment config (INI), which sets every
+experiment value; the only flags besides --config are --seed, which
+replaces [flags] seed, and --out, the output directory.  It runs the
+requested solver or report, prints a text summary, and writes CSV files
+with fixed column orders into the output directory.  Identical config and
+seed produce byte-identical outputs.
 """
 
 import argparse
@@ -35,26 +37,13 @@ def _add_common(p, needs_config=True):
                    help="experiment config file (INI)")
     p.add_argument("--seed", type=int, help="override [flags] seed")
     p.add_argument("--out", help="output directory (default: config or .)")
-    p.add_argument("--margin", type=float,
-                   help="override the pass/fail margin fraction")
-    p.add_argument("--z-cap", type=float, dest="z_cap",
-                   help="override the squeeze cap")
-    p.add_argument("--blur-cap", type=float, dest="blur_cap",
-                   help="override the mixture blur spill threshold")
-    p.add_argument("--effective-diffusion", action="store_true",
-                   default=None, dest="effective_diffusion",
-                   help="replace d_x by the heuristic d_p/(J2 m) estimate")
 
 
 def _load(args):
     cfg = load_config(args.config)
-    overrides = {name: getattr(args, name)
-                 for name in ("seed", "out", "margin", "z_cap", "blur_cap",
-                              "effective_diffusion")
-                 if getattr(args, name, None) is not None}
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    return cfg
+    overrides = {name: getattr(args, name) for name in ("seed", "out")
+                 if getattr(args, name) is not None}
+    return dataclasses.replace(cfg, **overrides)
 
 
 def _out_dir(cfg):

@@ -2,16 +2,18 @@
 
 A configuration fully describes one experiment: the model ([model]), the
 noise ([diffusion]), the initial coherent state ([initial]), the solver
-grids and step sizes ([numerics]), and run flags ([flags]).  Parsing
-either produces a fully validated `ExperimentConfig` or raises a
+grids and step sizes ([numerics]), and run flags ([flags]).  Each option
+is declared once, as an `ExperimentConfig` field: its annotation sets how
+the INI text is read, and a field without a default is a required option.
+Parsing either produces a fully validated `ExperimentConfig` or raises a
 ValueError naming the section and option at fault; serializing and
 re-parsing is a fixpoint.
 """
 
 import configparser
 import io
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import MISSING, dataclass, fields
+from typing import Optional, Tuple, Union, get_args, get_origin
 
 from .potentials import HamiltonianModel, make_potential
 from .scales import DiffusionSpec
@@ -117,46 +119,35 @@ class ExperimentConfig:
         return DiffusionSpec(d_x, self.d_p, self.hbar)
 
 
-_SCHEMA = {
-    "model": {"potential": str, "params": "floats", "mass": float,
-              "x_min": float, "x_max": float},
-    "diffusion": {"d_x": float, "d_p": float, "hbar": float},
-    "initial": {"x": float, "p": float},
-    "numerics": {"t_final": float, "dt_quantum": "opt_float",
-                 "dt_classical": "opt_float", "dt_mixture": "opt_float",
-                 "n_grid": int, "n_phase": int, "p_min": "opt_float",
-                 "p_max": "opt_float", "particles": int, "samples": int,
-                 "snapshots": int, "edge_tol": float},
-    "flags": {"seed": int, "z_cap": "opt_float", "blur_cap": "opt_float",
-              "effective_diffusion": bool, "margin": float, "out": "opt_str"},
+# INI sections in file order, each naming its ExperimentConfig fields in
+# dataclass order; [initial] x and p fill x0 and p0
+_SECTIONS = {
+    "model": ("potential", "params", "mass", "x_min", "x_max"),
+    "diffusion": ("d_x", "d_p", "hbar"),
+    "initial": ("x0", "p0"),
+    "numerics": ("t_final", "dt_quantum", "dt_classical", "dt_mixture",
+                 "n_grid", "n_phase", "p_min", "p_max", "particles",
+                 "samples", "snapshots", "edge_tol"),
+    "flags": ("seed", "z_cap", "blur_cap", "effective_diffusion", "margin",
+              "out"),
 }
-
-_REQUIRED = {("model", "potential"), ("model", "mass"), ("model", "x_min"),
-             ("model", "x_max"), ("diffusion", "d_x"), ("diffusion", "d_p"),
-             ("diffusion", "hbar"), ("initial", "x"), ("initial", "p"),
-             ("numerics", "t_final")}
-
-_RENAME = {("initial", "x"): "x0", ("initial", "p"): "p0"}
+_OPTION = {"x0": "x", "p0": "p"}
+_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
+assert [n for ns in _SECTIONS.values() for n in ns] == list(_FIELDS)
 
 
 def _convert(section, option, raw, kind):
+    if get_origin(kind) is Union:               # Optional[float], [str]
+        if raw.lower() in ("none", "auto", ""):
+            return None
+        kind = get_args(kind)[0]
     try:
-        if kind is str:
-            return raw
-        if kind == "opt_str":
-            return None if raw.lower() in ("none", "auto", "") else raw
-        if kind == "floats":
-            return tuple(float(v) for v in raw.replace(",", " ").split())
-        if kind == "opt_float":
-            return None if raw.lower() in ("none", "auto", "") else float(raw)
         if kind is bool:
-            if raw.lower() in ("true", "yes", "on", "1"):
-                return True
-            if raw.lower() in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(raw)
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+        if get_origin(kind) is tuple:
+            return tuple(float(v) for v in raw.replace(",", " ").split())
         return kind(raw)
-    except ValueError:
+    except (KeyError, ValueError):
         raise ValueError(f"[{section}] {option}: cannot parse {raw!r} as "
                          f"{getattr(kind, '__name__', kind)}") from None
 
@@ -169,21 +160,22 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ValueError(f"config syntax error: {exc}") from None
 
     kwargs = {}
-    for section, options in _SCHEMA.items():
-        present = parser.has_section(section)
-        for option, kind in options.items():
-            if present and parser.has_option(section, option):
-                name = _RENAME.get((section, option), option)
+    for section, names in _SECTIONS.items():
+        for name in names:
+            option = _OPTION.get(name, name)
+            f = _FIELDS[name]
+            if parser.has_option(section, option):
                 kwargs[name] = _convert(section, option,
-                                        parser.get(section, option), kind)
-            elif (section, option) in _REQUIRED:
+                                        parser.get(section, option), f.type)
+            elif f.default is MISSING:
                 raise ValueError(f"[{section}] {option}: required option "
                                  "missing")
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ValueError(f"[{section}]: unknown section")
+        options = [_OPTION.get(n, n) for n in _SECTIONS[section]]
         for option in parser.options(section):
-            if option not in _SCHEMA[section]:
+            if option not in options:
                 raise ValueError(f"[{section}] {option}: unknown option")
     return ExperimentConfig(**kwargs)
 
@@ -207,10 +199,10 @@ def _format(value):
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     out = io.StringIO()
-    for section, options in _SCHEMA.items():
+    for section, names in _SECTIONS.items():
         out.write(f"[{section}]\n")
-        for option in options:
-            name = _RENAME.get((section, option), option)
-            out.write(f"{option} = {_format(getattr(cfg, name))}\n")
+        for name in names:
+            out.write(f"{_OPTION.get(name, name)} = "
+                      f"{_format(getattr(cfg, name))}\n")
         out.write("\n")
     return out.getvalue()

@@ -12,7 +12,7 @@ Leer MUSCL update of the fractional Courant number, outflow boundaries);
 D is exact for the Neumann-discretized Laplacian.  All three are stable
 and positive at any step, so the step is set by accuracy alone; there is
 no CFL limit.  Outflow mass leakage is monitored and aborts the run past
-a tolerance.
+`LEAK_TOL`.
 """
 
 import math
@@ -31,6 +31,10 @@ __all__ = [
     "l1_distance",
     "evolve_fokker_planck",
 ]
+
+LEAK_TOL = 1e-4         # a run aborts once this share of the mass has left
+MASS_TOL = 1e-6         # assert_probability: the mass may miss 1,
+UNDERSHOOT_TOL = 1e-9   # and the values dip below 0, by these
 
 
 @dataclass
@@ -68,18 +72,14 @@ class PhaseField:
     def mass(self) -> float:
         return float(self.values.sum() * self.cell_area)
 
-    def assert_probability(self, mass_tol: float = 1e-6,
-                           undershoot_tol: float = 1e-9) -> None:
-        if abs(self.mass() - 1.0) > mass_tol:
+    def assert_probability(self) -> None:
+        if abs(self.mass() - 1.0) > MASS_TOL:
             raise ValueError(f"field mass {self.mass():.8f} is not 1")
-        if self.values.min() < -undershoot_tol:
+        if self.values.min() < -UNDERSHOOT_TOL:
             raise ValueError(f"field undershoots to {self.values.min():.3g}")
 
     def marginal_x(self) -> np.ndarray:
         return self.values.sum(axis=1) * self.dp
-
-    def marginal_p(self) -> np.ndarray:
-        return self.values.sum(axis=0) * self.dx
 
     def moments(self):
         """Mean vector (x, p) and 2x2 covariance of the field."""
@@ -136,13 +136,13 @@ def _cfl_limits(f: PhaseField, model: HamiltonianModel,
 
 def evolve_fokker_planck(f0: PhaseField, model: HamiltonianModel,
                          diffusion: DiffusionSpec, t_final: float, dt: float,
-                         snapshot_times=None, leak_tol: float = 1e-4):
+                         snapshot_times=None):
     """Integrate the frictionless Fokker-Planck equation.
 
     Any `dt` is stable; the step actually taken is `step_schedule`'s, at
     most `dt`.  Returns a list of (t, PhaseField) snapshots (t = 0
     included).  Aborts when outflow through the boundary exceeds
-    `leak_tol` of the mass.
+    `LEAK_TOL` of the mass.
     """
     n_steps, dt, snap_steps = step_schedule(t_final, dt, snapshot_times)
     vals = np.ascontiguousarray(f0.values.copy())
@@ -167,10 +167,10 @@ def evolve_fokker_planck(f0: PhaseField, model: HamiltonianModel,
         else:
             p_open = dt
         leak = 1.0 - vals.sum() / mass0
-        if abs(leak) > leak_tol:
+        if abs(leak) > LEAK_TOL:
             raise RuntimeError(
                 f"step {step}: boundary mass leak {leak:.3g} exceeds "
-                f"{leak_tol}; enlarge the phase-space box")
+                f"{LEAK_TOL}; enlarge the phase-space box")
         if step in snap_steps:
             out.append((step * dt, PhaseField(f0.x, f0.p, vals.copy())))
     return out

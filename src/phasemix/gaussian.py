@@ -29,6 +29,10 @@ __all__ = [
     "sigma_star",
 ]
 
+SYMMETRY_RTOL = 1e-12   # |cov - cov^T| may reach 10x this of max |cov|
+PURITY_TOL = 1e-8       # largest purity_defect of a pure covariance
+NTS_TOL = 1e-9          # nts_check's slack, absolute on the eigenvalues
+
 
 def symplectic_form(d: int) -> np.ndarray:
     """The 2d x 2d antisymmetric form Omega with Omega^2 = -I."""
@@ -47,9 +51,9 @@ def sigma_star(a_H: float, hbar: float, d: int = 1) -> np.ndarray:
                                    np.full(d, hbar * a_H / 2.0)]))
 
 
-def _check_symmetric(cov: np.ndarray, rtol: float = 1e-12) -> None:
+def _check_symmetric(cov: np.ndarray) -> None:
     scale = max(np.abs(cov).max(), 1e-300)
-    if np.abs(cov - cov.T).max() > rtol * scale * 10:
+    if np.abs(cov - cov.T).max() > SYMMETRY_RTOL * scale * 10:
         raise ValueError("covariance matrix is not symmetric")
 
 
@@ -78,9 +82,6 @@ class GaussianState:
     def d(self) -> int:
         return self.mean.size // 2
 
-    def is_pure(self, tol: float = 1e-8) -> bool:
-        return is_pure_gaussian(self.cov, self.hbar, tol)
-
 
 def purity_defect(cov: np.ndarray, hbar: float) -> float:
     """Max-norm deviation of (2 cov/hbar) from the symplectic condition."""
@@ -92,9 +93,9 @@ def purity_defect(cov: np.ndarray, hbar: float) -> float:
     return np.abs(a.T @ omega @ a - omega).max()
 
 
-def is_pure_gaussian(cov: np.ndarray, hbar: float, tol: float = 1e-8) -> bool:
+def is_pure_gaussian(cov: np.ndarray, hbar: float) -> bool:
     """True iff cov is the covariance of a pure Gaussian state."""
-    return purity_defect(cov, hbar) <= tol
+    return purity_defect(cov, hbar) <= PURITY_TOL
 
 
 def _whitened(cov: np.ndarray, sig_star: np.ndarray) -> np.ndarray:
@@ -107,17 +108,16 @@ def nts_eigenvalues(cov: np.ndarray, sig_star: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(_whitened(np.asarray(cov, float), sig_star))
 
 
-def nts_check(cov: np.ndarray, sig_star: np.ndarray, z: float,
-              tol: float = 1e-9) -> bool:
+def nts_check(cov: np.ndarray, sig_star: np.ndarray, z: float) -> bool:
     """Not-too-squeezed test: z^-1 sigma* <= cov <= z sigma*.
 
     Tested via the spectrum of the whitened matrix, which is basis
-    independent; `tol` is absolute on the eigenvalues.
+    independent; `NTS_TOL` is absolute on the eigenvalues.
     """
     if z < 1.0:
         raise ValueError("squeeze bound z must be >= 1")
     lam = nts_eigenvalues(cov, sig_star)
-    return lam.min() >= 1.0 / z - tol and lam.max() <= z + tol
+    return lam.min() >= 1.0 / z - NTS_TOL and lam.max() <= z + NTS_TOL
 
 
 def covariance_eigen_pairs(cov: np.ndarray, hbar: float,

@@ -35,6 +35,8 @@ __all__ = [
     "harmonic_error_report",
 ]
 
+BOUND_TOL = 0.05        # share by which numerics may exceed a bound
+
 
 def _sigma_xx_norm(sigma: np.ndarray, d: int) -> float:
     sigma = np.asarray(sigma, dtype=float)
@@ -162,12 +164,13 @@ class HarmonicErrorReport:
         return self.numeric_classical / self.bound_classical \
             if self.bound_classical > 0 else 0.0
 
-    def validate(self, tol: float = 0.05):
-        """Numerics must not exceed the bounds beyond discretization tol."""
-        if self.numeric_quantum > self.bound_quantum * (1.0 + tol) + 1e-12:
+    def validate(self):
+        """Numerics must not exceed the bounds beyond `BOUND_TOL`."""
+        slack = 1.0 + BOUND_TOL
+        if self.numeric_quantum > self.bound_quantum * slack + 1e-12:
             raise ValueError("quantum numeric error exceeds the bound: "
                              f"{self.numeric_quantum} > {self.bound_quantum}")
-        if self.numeric_classical > self.bound_classical * (1.0 + tol) + 1e-12:
+        if self.numeric_classical > self.bound_classical * slack + 1e-12:
             raise ValueError("classical numeric error exceeds the bound: "
                              f"{self.numeric_classical} > "
                              f"{self.bound_classical}")

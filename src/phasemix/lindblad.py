@@ -54,6 +54,11 @@ __all__ = [
     "trace_distance",
 ]
 
+HERM_TOL = 1e-10        # check_invariants: the Hermiticity defect,
+TRACE_TOL = 1e-8        # the trace error
+EIG_TOL = 1e-6          # and the negative eigenvalue may reach these
+EDGE_CELLS = 2          # edge_mass sums this many cells at either end
+
 
 @dataclass
 class DensityMatrixGrid:
@@ -102,9 +107,9 @@ class DensityMatrixGrid:
     def position_density(self) -> np.ndarray:
         return np.diag(self.rho).real
 
-    def edge_mass(self, cells: int = 2) -> float:
+    def edge_mass(self) -> float:
         dens = self.position_density() * self.dx
-        return float(dens[:cells].sum() + dens[-cells:].sum())
+        return float(dens[:EDGE_CELLS].sum() + dens[-EDGE_CELLS:].sum())
 
     def _apply_p(self, mat: np.ndarray) -> np.ndarray:
         # momentum operator acting on the ket index, spectral derivative:
@@ -130,15 +135,13 @@ class DensityMatrixGrid:
     def purity(self) -> float:
         return float(np.trace(self.rho @ self.rho).real * self.dx**2)
 
-    def check_invariants(self, herm_tol: float = 1e-10,
-                         trace_tol: float = 1e-8,
-                         eig_tol: float = 1e-6) -> None:
-        if self.hermiticity_defect() > herm_tol:
+    def check_invariants(self) -> None:
+        if self.hermiticity_defect() > HERM_TOL:
             raise RuntimeError("density matrix lost Hermiticity: defect "
                                f"{self.hermiticity_defect():.3g}")
-        if abs(self.trace() - 1.0) > trace_tol:
+        if abs(self.trace() - 1.0) > TRACE_TOL:
             raise RuntimeError(f"trace drifted to {self.trace():.10f}")
-        if self.min_eigenvalue() < -eig_tol:
+        if self.min_eigenvalue() < -EIG_TOL:
             raise RuntimeError("density matrix lost positivity: min "
                                f"eigenvalue {self.min_eigenvalue():.3g}")
 

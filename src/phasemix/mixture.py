@@ -49,6 +49,8 @@ Z_FLOOR = 1.05
 # a spilled blur may have a negative eigenvalue down to this (relative)
 # round-off; below it the blur is broken and the spill aborts
 NOISE_ABORT_BELOW = -1e-9
+WINDOW_TOL = 1e-6       # validate: squeeze eigenvalues may pass the window
+DET_TOL = 1e-8          # and det(sigma) / (hbar/2)^2 miss 1 by these
 
 
 def effective_z(scales: ScaleReport, z_cap=None):
@@ -176,16 +178,16 @@ class MixtureEnsemble:
         s = _star_sqrt(self.scales)
         return np.linalg.eigvalsh(self.covs / np.outer(s, s))
 
-    def validate(self, nts_tol: float = 1e-6, purity_tol: float = 1e-8):
+    def validate(self):
         if abs(self.weights.sum() - 1.0) > 1e-12 or self.weights.min() < 0:
             raise ValueError("weights must be nonnegative and sum to 1")
         hbar = self.scales.hbar
         dets = np.linalg.det(self.covs)
-        if np.abs(dets / (hbar / 2.0) ** 2 - 1.0).max() > purity_tol:
+        if np.abs(dets / (hbar / 2.0) ** 2 - 1.0).max() > DET_TOL:
             raise ValueError("a particle covariance is not pure")
         lam = self.squeeze_eigenvalues()
-        if lam.max() > self.z_eff + nts_tol \
-                or lam.min() < 1.0 / self.z_eff - nts_tol:
+        if lam.max() > self.z_eff + WINDOW_TOL \
+                or lam.min() < 1.0 / self.z_eff - WINDOW_TOL:
             raise ValueError("a particle violates the squeeze window")
 
 
@@ -349,17 +351,13 @@ def mixture_to_phase_field(ens: MixtureEnsemble, x: np.ndarray,
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    if supersample == 1:
-        vals = _kernels.rasterize_phase(x, p, ens.weights, ens.alphas,
-                                        ens.total_covs())
-    else:
-        k = int(supersample)
-        if k < 1:
-            raise ValueError("supersample must be a positive integer")
-        offs = (np.arange(k) + 0.5) / k - 0.5
-        xs = (x[:, None] + (x[1] - x[0]) * offs[None, :]).ravel()
-        ps = (p[:, None] + (p[1] - p[0]) * offs[None, :]).ravel()
-        fine = _kernels.rasterize_phase(xs, ps, ens.weights, ens.alphas,
-                                        ens.total_covs())
-        vals = fine.reshape(x.size, k, p.size, k).mean(axis=(1, 3))
+    k = int(supersample)
+    if k < 1:
+        raise ValueError("supersample must be a positive integer")
+    offs = (np.arange(k) + 0.5) / k - 0.5
+    xs = (x[:, None] + (x[1] - x[0]) * offs[None, :]).ravel()
+    ps = (p[:, None] + (p[1] - p[0]) * offs[None, :]).ravel()
+    fine = _kernels.rasterize_phase(xs, ps, ens.weights, ens.alphas,
+                                    ens.total_covs())
+    vals = fine.reshape(x.size, k, p.size, k).mean(axis=(1, 3))
     return PhaseField(x, p, vals)

@@ -10,7 +10,7 @@ are declared in configs by name plus a parameter list:
     cubic_harmonic eps    -> V = x^2 / 2 + eps x^3
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -205,6 +205,10 @@ def make_potential(name: str, params) -> Potential:
     except KeyError:
         raise ValueError(f"unknown potential '{name}'; choose from "
                          f"{sorted(POTENTIALS)}") from None
+    names = [f.name for f in fields(cls)]
+    if len(params) > len(names):
+        raise ValueError(f"potential '{name}' takes at most {len(names)} "
+                         f"params ({', '.join(names)}); got {len(params)}")
     return cls(*params)
 
 

@@ -74,6 +74,9 @@ class TestConfig:
          "extras"),
         (lambda s: s.replace("z_cap = 3.0", "z_cap = 0.5"), "z_cap"),
         (lambda s: s.replace("x_min = -12.0", "x_min = 20.0"), "x_min"),
+        (lambda s: s.replace("params = 1.0", "params = 1.0, 2.0"),
+         "'harmonic' takes at most 1 params"),
+        (lambda s: s.replace("params = 1.0\n", ""), "[model] params"),
     ])
     def test_anchored_errors(self, mangle, fragment):
         with pytest.raises(ValueError, match=fragment.replace("[", "\\[")):
@@ -242,6 +245,13 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "dust_grain_validity_time" in out
         assert (tmp_path / "physical_example.csv").exists()
+
+    def test_ini_values_have_no_flags(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        for extra in (["--margin", "0.2"], ["--z-cap", "2"],
+                      ["--blur-cap", "2"], ["--effective-diffusion"]):
+            with pytest.raises(SystemExit, match="2"):  # argparse usage
+                self.run("compare", "--config", cfg, *extra)
 
     def test_seed_override_changes_langevin(self, tmp_path):
         cfg = write_cfg(tmp_path)

@@ -411,6 +411,11 @@ class TestCompactKernels:
                               2.0, seed=0)
         x = np.linspace(-3.0, 3.0, 64, endpoint=False) + 3.0 / 64
         p = np.linspace(-2.0, 2.0, 48, endpoint=False) + 2.0 / 48
+        # k = 1 samples the cell centres themselves
+        assert np.array_equal(
+            mixture_to_phase_field(ens, x, p).values,
+            _kernels.rasterize_phase(x, p, ens.weights, ens.alphas,
+                                     ens.total_covs()))
         got = mixture_to_phase_field(ens, x, p, supersample=3).values
         monkeypatch.setattr(_kernels, "rasterize_phase",
                             rasterize_phase_reference)
