@@ -32,6 +32,12 @@ largest diagonal entry, rebuilds rho0 to 1e-12 of its maximum),
 `evolve_lindblad` steps psi through the same split with 1-D transforms
 (the split-operator method of Feit & Fleck 1982) and forms psi psi^+
 only at snapshots, which are checked like those of the density path.
+
+Every snapshot passes `DensityMatrixGrid.check_invariants`.  Its
+positivity test is one Cholesky factorization of a copy of
+rho dx + EIG_TOL I, which succeeds exactly when no eigenvalue of rho dx
+is below -EIG_TOL (Cholesky is backward stable, Higham 2002, ch. 10);
+eigenvalues are computed only to report a failure.
 """
 
 import math
@@ -39,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
+from scipy.linalg.lapack import zpotrf
 
 from .fokker_planck import PhaseField
 from .gaussian import GaussianState, is_pure_gaussian
@@ -136,12 +143,28 @@ class DensityMatrixGrid:
         return float(np.trace(self.rho @ self.rho).real * self.dx**2)
 
     def check_invariants(self) -> None:
+        """Raise RuntimeError unless rho is Hermitian to HERM_TOL, has
+        trace 1 to TRACE_TOL and min eigenvalue(rho dx) >= -EIG_TOL.
+
+        Positivity is tested by a Cholesky factorization of a copy of
+        rho dx + EIG_TOL I, which exists exactly when that matrix is
+        positive definite.  Cholesky is backward stable with an error of
+        about n u ||rho dx||_2 (u the unit round-off; ~1e-13 at trace 1
+        and n = 512), far below EIG_TOL, so the verdict is the eigenvalue
+        test's except within that round-off of the threshold.
+        Eigenvalues are computed only to report a failure.
+        """
         if self.hermiticity_defect() > HERM_TOL:
             raise RuntimeError("density matrix lost Hermiticity: defect "
                                f"{self.hermiticity_defect():.3g}")
         if abs(self.trace() - 1.0) > TRACE_TOL:
             raise RuntimeError(f"trace drifted to {self.trace():.10f}")
-        if self.min_eigenvalue() < -EIG_TOL:
+        a = self.rho * self.dx
+        a.flat[::self.n + 1] += EIG_TOL
+        # a.T is Fortran-ordered and equals conj(a), which has the same
+        # spectrum, so LAPACK factors the copy in place
+        _, info = zpotrf(a.T, lower=True, overwrite_a=True, clean=False)
+        if info != 0:
             raise RuntimeError("density matrix lost positivity: min "
                                f"eigenvalue {self.min_eigenvalue():.3g}")
 

@@ -206,8 +206,8 @@ def make_potential(name: str, params) -> Potential:
         raise ValueError(f"unknown potential '{name}'; choose from "
                          f"{sorted(POTENTIALS)}") from None
     names = [f.name for f in fields(cls)]
-    if len(params) > len(names):
-        raise ValueError(f"potential '{name}' takes at most {len(names)} "
+    if len(params) != len(names):
+        raise ValueError(f"potential '{name}' takes exactly {len(names)} "
                          f"params ({', '.join(names)}); got {len(params)}")
     return cls(*params)
 

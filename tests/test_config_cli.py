@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -75,11 +76,16 @@ class TestConfig:
         (lambda s: s.replace("z_cap = 3.0", "z_cap = 0.5"), "z_cap"),
         (lambda s: s.replace("x_min = -12.0", "x_min = 20.0"), "x_min"),
         (lambda s: s.replace("params = 1.0", "params = 1.0, 2.0"),
-         "'harmonic' takes at most 1 params"),
+         "'harmonic' takes exactly 1 params"),
+        (lambda s: s.replace("params = 1.0", "params ="),
+         "'harmonic' takes exactly 1 params (k); got 0"),
+        (lambda s: s.replace("params = 1.0", "params = 0.25")
+         .replace("potential = harmonic", "potential = double_well"),
+         "'double_well' takes exactly 2 params (a, b); got 1"),
         (lambda s: s.replace("params = 1.0\n", ""), "[model] params"),
     ])
     def test_anchored_errors(self, mangle, fragment):
-        with pytest.raises(ValueError, match=fragment.replace("[", "\\[")):
+        with pytest.raises(ValueError, match=re.escape(fragment)):
             parse_config(mangle(HARMONIC_INI))
 
     def test_effective_diffusion_substitution(self):

@@ -220,6 +220,79 @@ class TestEvolution:
                             NO_DIFF, 1.0, 0.01)
 
 
+@pytest.fixture(scope="module")
+def unitary_512():
+    rng = np.random.default_rng(9)
+    q, _ = np.linalg.qr(rng.normal(size=(512, 512))
+                        + 1j * rng.normal(size=(512, 512)))
+    return q
+
+
+def spectral_grid(u, lam_min):
+    """512-point grid state whose rho dx = u diag(lam) u^+ has smallest
+    eigenvalue lam_min and trace 1; Hermitian exactly."""
+    x = np.linspace(-12.0, 12.0, 512, endpoint=False)
+    dx = x[1] - x[0]
+    lam = np.random.default_rng(10).uniform(0.5, 1.5, 512)
+    lam *= (1.0 - lam_min) / lam[1:].sum()
+    lam[0] = lam_min
+    rho = (u * lam) @ u.conj().T / dx
+    return DensityMatrixGrid(x, 0.5 * (rho + rho.conj().T), 1.0, 1.0)
+
+
+class TestPositivityCheck:
+    def test_rejects_eigenvalue_below_tolerance(self, unitary_512):
+        g = spectral_grid(unitary_512, -3e-6)
+        assert g.min_eigenvalue() == pytest.approx(-3e-6, rel=1e-6)
+        with pytest.raises(RuntimeError, match=r"lost positivity: min "
+                                               r"eigenvalue -3e-06$"):
+            g.check_invariants()
+
+    def test_accepts_eigenvalue_within_tolerance(self, unitary_512):
+        g = spectral_grid(unitary_512, -5e-7)
+        assert g.min_eigenvalue() == pytest.approx(-5e-7, rel=1e-6)
+        g.check_invariants()
+
+    def test_accepts_rank_one(self, unitary_512):
+        x = np.linspace(-12.0, 12.0, 512, endpoint=False)
+        psi = unitary_512[:, 3] / np.sqrt(x[1] - x[0])
+        DensityMatrixGrid(x, np.outer(psi, psi.conj()), 1.0,
+                          1.0).check_invariants()
+
+    @pytest.mark.parametrize("lam_min", [-3e-6, 1e-4])
+    def test_leaves_rho_untouched(self, unitary_512, lam_min):
+        g = spectral_grid(unitary_512, lam_min)
+        before = g.rho.copy()
+        try:
+            g.check_invariants()
+        except RuntimeError:
+            pass
+        assert g.rho.tobytes() == before.tobytes()
+
+    def test_pass_path_computes_no_eigenvalues(self, unitary_512,
+                                               monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("eigvalsh on the pass path")
+
+        g = spectral_grid(unitary_512, 1e-4)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        g.check_invariants()
+
+    def test_indefinite_noiseless_run_aborts_at_first_snapshot(self):
+        # trace 1 but eigenvalues near 1.5 and -0.5; not rank-1, so the
+        # noiseless run takes the density path and its checks
+        g1 = coherent_grid(mean=(2.0, 0.0))
+        g2 = coherent_grid(mean=(-2.0, 0.0))
+        rho0 = DensityMatrixGrid(g1.x, 1.5 * g1.rho - 0.5 * g2.rho, 1.0, 1.0)
+        assert lindblad._pure_column(rho0, NO_DIFF) is None
+        _, _, snap_steps = step_schedule(1.0, 0.01, [0.5, 1.0])
+        with pytest.raises(RuntimeError,
+                           match=rf"^step {min(snap_steps)}: density matrix "
+                                 r"lost positivity"):
+            evolve_lindblad(rho0, HARMONIC, NO_DIFF, 1.0, 0.01,
+                            snapshot_times=[0.5, 1.0])
+
+
 class TestWigner:
     def test_gaussian_matches_analytic(self):
         cov = np.array([[1.0, 0.3], [0.3, 0.34]])
