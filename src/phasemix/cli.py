@@ -18,6 +18,7 @@ import numpy as np
 
 from .config import load_config
 from .fokker_planck import evolve_fokker_planck
+from .gaussian import nts_eigenvalues
 from .harmonic_error import harmonic_error_report
 from .harness import (Experiment, emit_plots, run_breakdown_demo,
                       run_comparison, write_csv)
@@ -144,7 +145,8 @@ def cmd_evolve_mixture(args):
                + np.einsum("m,mi,mj->ij", w, dev, dev))
         rows.append((float(t), float(mean[0]), float(mean[1]),
                      float(cov[0, 0]), float(cov[0, 1]), float(cov[1, 1]),
-                     float(ens.squeeze_eigenvalues().max()),
+                     float(nts_eigenvalues(ens.covs,
+                                           exp.scales.sigma_star).max()),
                      int(ens.diagnostics.get("spill_count", 0))))
     _save(_out_dir(cfg), "mixture.csv",
           _MOMENT_HEADER + ["max_squeeze", "spill_count"], rows)

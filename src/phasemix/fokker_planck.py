@@ -78,9 +78,6 @@ class PhaseField:
         if self.values.min() < -UNDERSHOOT_TOL:
             raise ValueError(f"field undershoots to {self.values.min():.3g}")
 
-    def marginal_x(self) -> np.ndarray:
-        return self.values.sum(axis=1) * self.dp
-
     def moments(self):
         """Mean vector (x, p) and 2x2 covariance of the field."""
         w = self.values * self.cell_area

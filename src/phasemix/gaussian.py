@@ -6,6 +6,7 @@ belongs to a pure Gaussian state iff (2/hbar)*sigma is symplectic, in which
 case its eigenvalues come in pairs (lam, (hbar/2)^2 / lam).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,10 @@ __all__ = [
     "GaussianState",
     "is_pure_gaussian",
     "purity_defect",
+    "gaussian_wavefunction",
+    "whiten",
+    "unwhiten",
+    "window_excess",
     "nts_check",
     "nts_eigenvalues",
     "covariance_eigen_pairs",
@@ -98,14 +103,42 @@ def is_pure_gaussian(cov: np.ndarray, hbar: float) -> bool:
     return purity_defect(cov, hbar) <= PURITY_TOL
 
 
-def _whitened(cov: np.ndarray, sig_star: np.ndarray) -> np.ndarray:
-    w = 1.0 / np.sqrt(np.diag(sig_star))
-    return cov * np.outer(w, w)
+def gaussian_wavefunction(x: np.ndarray, mean, cov, hbar: float) -> np.ndarray:
+    """Pure Gaussian wavefunction on the uniform grid x (d = 1).
+
+    Its position variance is cov[0, 0] and its position-momentum
+    correlation cov[0, 1]; it is normalized to sum(|psi|^2) dx = 1.
+    """
+    u = x - mean[0]
+    psi = np.exp(-u**2 * (1.0 - 2.0j * cov[0, 1] / hbar) / (4.0 * cov[0, 0])
+                 + 1j * mean[1] * u / hbar)
+    psi /= math.sqrt(float((np.abs(psi) ** 2).sum() * (x[1] - x[0])))
+    return psi
+
+
+def whiten(mat: np.ndarray, sig_star: np.ndarray) -> np.ndarray:
+    """sigma*^(-1/2) mat sigma*^(-1/2) for the diagonal sigma*; mat may be
+    a stack (..., 2d, 2d)."""
+    s = np.sqrt(np.diag(sig_star))
+    return mat / np.outer(s, s)
+
+
+def unwhiten(mat: np.ndarray, sig_star: np.ndarray) -> np.ndarray:
+    """Inverse of `whiten`: sigma*^(1/2) mat sigma*^(1/2)."""
+    s = np.sqrt(np.diag(sig_star))
+    return mat * np.outer(s, s)
 
 
 def nts_eigenvalues(cov: np.ndarray, sig_star: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the whitened covariance sigma*^(-1/2) cov sigma*^(-1/2)."""
-    return np.linalg.eigvalsh(_whitened(np.asarray(cov, float), sig_star))
+    """Eigenvalues of the whitened covariance sigma*^(-1/2) cov sigma*^(-1/2);
+    cov may be a stack."""
+    return np.linalg.eigvalsh(whiten(np.asarray(cov, float), sig_star))
+
+
+def window_excess(lam: np.ndarray, z: float) -> float:
+    """How far whitened eigenvalues lam leave the squeeze window [1/z, z]:
+    max(max lam - z, 1/z - min lam, 0)."""
+    return max(float(lam.max() - z), float(1.0 / z - lam.min()), 0.0)
 
 
 def nts_check(cov: np.ndarray, sig_star: np.ndarray, z: float) -> bool:
@@ -116,8 +149,7 @@ def nts_check(cov: np.ndarray, sig_star: np.ndarray, z: float) -> bool:
     """
     if z < 1.0:
         raise ValueError("squeeze bound z must be >= 1")
-    lam = nts_eigenvalues(cov, sig_star)
-    return lam.min() >= 1.0 / z - NTS_TOL and lam.max() <= z + NTS_TOL
+    return window_excess(nts_eigenvalues(cov, sig_star), z) <= NTS_TOL
 
 
 def covariance_eigen_pairs(cov: np.ndarray, hbar: float,

@@ -22,14 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import gaussian_pdf
+from .gaussian import gaussian_pdf, gaussian_wavefunction
 from .potentials import HamiltonianModel, harmonic_expansion
 
 __all__ = [
     "HarmonicErrorReport",
     "lemma_bound_quantum",
     "lemma_bound_classical",
-    "main_text_mu",
     "numeric_harmonic_error_quantum",
     "numeric_harmonic_error_classical",
     "harmonic_error_report",
@@ -57,16 +56,6 @@ def lemma_bound_classical(sigma, model: HamiltonianModel, hbar: float,
     """L1-norm bound sqrt(3 d^3) J3 ||sigma_xx||^(3/2) / hbar."""
     norm = _sigma_xx_norm(sigma, d)
     return math.sqrt(3.0 * d**3) * model.sup3 * norm**1.5 / hbar
-
-
-def main_text_mu(sigma, model: HamiltonianModel, hbar: float,
-                 d: int) -> float:
-    """Single constant mu = sqrt(3) d^(3/2) J3 ||sigma_xx||^(3/2) / hbar.
-
-    Equals the classical bound and dominates the quantum one (their ratio
-    is sqrt(9/5) independent of inputs).
-    """
-    return lemma_bound_classical(sigma, model, hbar, d)
 
 
 def _check_coverage(center: float, width: float, lo: float, hi: float,
@@ -102,12 +91,7 @@ def numeric_harmonic_error_quantum(alpha, sigma, model: HamiltonianModel,
 
     quad = harmonic_expansion(model, alpha[0])
     dv = model.potential.value(x) - quad(x)
-    # pure Gaussian wave function with position covariance sigma_xx and
-    # position-momentum correlation sigma_xp
-    u = x - alpha[0]
-    psi = np.exp(-u**2 * (1.0 - 2.0j * sigma[0, 1] / hbar)
-                 / (4.0 * sigma[0, 0]) + 1j * alpha[1] * u / hbar)
-    psi /= math.sqrt((np.abs(psi) ** 2).sum() * dx)
+    psi = gaussian_wavefunction(x, alpha, sigma, hbar)
     tau = np.outer(psi, psi.conj())
     comm = (-1j / hbar) * (dv[:, None] - dv[None, :]) * tau
     return float(np.abs(np.linalg.eigvalsh(comm * dx)).sum())
@@ -144,13 +128,8 @@ def numeric_harmonic_error_classical(alpha, sigma, model: HamiltonianModel,
 class HarmonicErrorReport:
     """Bounds, numerics, and their ratios for one (alpha, sigma, model)."""
 
-    alpha: np.ndarray
-    sigma: np.ndarray
-    hbar: float
-    potential: str
     bound_quantum: float
     bound_classical: float
-    mu: float
     numeric_quantum: float
     numeric_classical: float
 
@@ -180,13 +159,8 @@ def harmonic_error_report(alpha, sigma, model: HamiltonianModel, hbar: float,
                           x_grid, p_grid) -> HarmonicErrorReport:
     """Evaluate both bounds and both numerics on the supplied grids."""
     rep = HarmonicErrorReport(
-        alpha=np.asarray(alpha, dtype=float),
-        sigma=np.asarray(sigma, dtype=float),
-        hbar=float(hbar),
-        potential=type(model.potential).__name__,
         bound_quantum=lemma_bound_quantum(sigma, model, hbar, 1),
         bound_classical=lemma_bound_classical(sigma, model, hbar, 1),
-        mu=main_text_mu(sigma, model, hbar, 1),
         numeric_quantum=numeric_harmonic_error_quantum(alpha, sigma, model,
                                                        hbar, x_grid),
         numeric_classical=numeric_harmonic_error_classical(

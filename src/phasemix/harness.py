@@ -21,10 +21,10 @@ import numpy as np
 from .config import ExperimentConfig
 from .fokker_planck import (PhaseField, evolve_fokker_planck,
                             gaussian_phase_field, l1_distance)
-from .gaussian import GaussianState
+from .gaussian import GaussianState, nts_eigenvalues
 from .lindblad import (DensityMatrixGrid, evolve_lindblad, gaussian_to_grid,
                        trace_distance, wigner_transform_grid)
-from .mixture import (MixtureEnsemble, effective_z, evolve_mixture,
+from .mixture import (MixtureEnsemble, coherent_ensemble, evolve_mixture,
                       mixture_to_density_grid, mixture_to_phase_field)
 from .potentials import HamiltonianModel
 from .scales import (DiffusionSpec, ScaleReport, budget_z, compute_scales,
@@ -81,9 +81,8 @@ class Experiment:
     solver is asked for (`dt_quantum`; `dt_classical` for Fokker-Planck and
     `dt_langevin` for `evolve-langevin`, both set by `[numerics]
     dt_classical`; `dt_mixture`) and the phase-grid cell centres `x`, `p`.
-    The squeeze bound `z` and the initial states are built only on
-    request: `z` rejects a D0 = 0 config without `z_cap`, and the states
-    are N x N arrays.
+    The initial states are built only on request: they are N x N arrays,
+    and `mixture0` rejects a D0 = 0 config without `z_cap`.
     """
 
     cfg: ExperimentConfig
@@ -123,29 +122,20 @@ class Experiment:
                    cfg.dt_classical or scales.tau_H / 200.0,
                    cfg.dt_mixture or scales.tau_H / 200.0, x, p)
 
-    @property
-    def z(self) -> float:
-        return effective_z(self.scales, self.cfg.z_cap)
-
     def rho0(self) -> DensityMatrixGrid:
         cfg = self.cfg
         state0 = GaussianState([cfg.x0, cfg.p0], self.scales.sigma_star,
                                cfg.hbar)
-        return gaussian_to_grid(state0, cfg.mass, cfg.n_grid, cfg.x_min,
-                                cfg.x_max)
+        return gaussian_to_grid(state0, cfg.n_grid, cfg.x_min, cfg.x_max)
 
     def f0(self) -> PhaseField:
         return gaussian_phase_field([self.cfg.x0, self.cfg.p0],
                                     self.scales.sigma_star, self.x, self.p)
 
     def mixture0(self) -> MixtureEnsemble:
-        m = self.cfg.particles
-        return MixtureEnsemble(
-            weights=np.full(m, 1.0 / m),
-            alphas=np.tile([self.cfg.x0, self.cfg.p0], (m, 1)),
-            covs=np.tile(self.scales.sigma_star, (m, 1, 1)),
-            blurs=np.zeros((m, 2, 2)),
-            scales=self.scales, z_eff=self.z, seed=self.cfg.seed)
+        cfg = self.cfg
+        return coherent_ensemble([cfg.x0, cfg.p0], self.scales, cfg.seed,
+                                 cfg.z_cap, cfg.particles)
 
 
 def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
@@ -176,8 +166,8 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
             raise RuntimeError("solver snapshot times disagree")
     for (t, ens), (_, g_q), (_, f_c) in zip(m_traj[1:], q_traj[1:],
                                             c_traj[1:]):
-        grid_m = mixture_to_density_grid(ens, cfg.mass, cfg.n_grid,
-                                         cfg.x_min, cfg.x_max)
+        grid_m = mixture_to_density_grid(ens, cfg.n_grid, cfg.x_min,
+                                         cfg.x_max)
         # cell-averaged raster: the finite-volume reference stores cell
         # averages, so point sampling would add a spurious O(dx^2) term
         field_m = mixture_to_phase_field(ens, exp.x, exp.p, supersample=3)
@@ -189,7 +179,8 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
         l1s.append(l1)
         epss.append(eps)
         passes.append(max(td, l1) <= eps * (1.0 + cfg.margin))
-        max_squeeze = max(max_squeeze, float(ens.squeeze_eigenvalues().max()))
+        max_squeeze = max(max_squeeze, float(
+            nts_eigenvalues(ens.covs, scales.sigma_star).max()))
         diagnostics = ens.diagnostics
     return ComparisonReport(scales=scales, margin=cfg.margin,
                             bound_applicable=bound_applicable, times=times,

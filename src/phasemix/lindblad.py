@@ -26,6 +26,9 @@ p_{-m mod n}, so the momentum factor is built once on that layout and a
 step is half_pos * rho -> fft2 -> * full_mom -> ifft2 -> * half_pos,
 with no index flip at run time.
 
+A `DensityMatrixGrid` is a state only: the kinetic mass comes from the
+`HamiltonianModel`, and the grid's hbar must match the `DiffusionSpec`'s.
+
 Without diffusion (D_x = D_p = 0) a rank-1 rho = psi psi^+ stays rank-1.
 When rho0 is rank-1 to round-off (psi, taken from the column of the
 largest diagonal entry, rebuilds rho0 to 1e-12 of its maximum),
@@ -48,7 +51,7 @@ import scipy.fft as sfft
 from scipy.linalg.lapack import zpotrf
 
 from .fokker_planck import PhaseField
-from .gaussian import GaussianState, is_pure_gaussian
+from .gaussian import GaussianState, gaussian_wavefunction, is_pure_gaussian
 from .potentials import HamiltonianModel
 from .scales import DiffusionSpec, step_schedule
 
@@ -73,21 +76,21 @@ class DensityMatrixGrid:
 
     rho[i, j] approximates <x_i| rho |x_j> in continuum normalization, so
     the trace is sum(diag) * dx and discrete eigenvalues are those of
-    rho * dx.
+    rho * dx.  The grid is a state: the dynamics take the mass from the
+    `HamiltonianModel`, and `hbar` must match the `DiffusionSpec`'s.
     """
 
     x: np.ndarray
     rho: np.ndarray
     hbar: float
-    mass: float
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
         self.rho = np.asarray(self.rho, dtype=complex)
         if self.rho.shape != (self.x.size, self.x.size):
             raise ValueError("rho must be N x N for an N-point grid")
-        if self.hbar <= 0 or self.mass <= 0:
-            raise ValueError("hbar and mass must be positive")
+        if self.hbar <= 0:
+            raise ValueError("hbar must be positive")
 
     @property
     def n(self) -> int:
@@ -169,8 +172,8 @@ class DensityMatrixGrid:
                                f"eigenvalue {self.min_eigenvalue():.3g}")
 
 
-def gaussian_to_grid(state: GaussianState, mass: float, n: int,
-                     x_min: float, x_max: float) -> DensityMatrixGrid:
+def gaussian_to_grid(state: GaussianState, n: int, x_min: float,
+                     x_max: float) -> DensityMatrixGrid:
     """Pure Gaussian wavefunction realized as a rank-1 grid density matrix.
 
     The covariance must satisfy the purity relation
@@ -181,19 +184,13 @@ def gaussian_to_grid(state: GaussianState, mass: float, n: int,
         raise ValueError("position-grid states are one dimensional")
     if not is_pure_gaussian(state.cov, state.hbar):
         raise ValueError("state is not pure; cannot realize a wavefunction")
-    sxx, sxp = state.cov[0, 0], state.cov[0, 1]
-    spp_pure = (state.hbar**2 / 4.0 + sxp**2) / sxx
-    assert abs(state.cov[1, 1] - spp_pure) <= 1e-8 * spp_pure
-    sd = math.sqrt(sxx)
+    sd = math.sqrt(state.cov[0, 0])
     if state.mean[0] - 6.0 * sd < x_min or state.mean[0] + 6.0 * sd > x_max:
         raise ValueError("grid too small: must cover the mean +- 6 position "
                          "standard deviations")
     x = x_min + (x_max - x_min) * np.arange(n) / n
-    dxv = x - state.mean[0]
-    psi = np.exp(-dxv**2 * (1.0 - 2.0j * sxp / state.hbar) / (4.0 * sxx)
-                 + 1j * state.mean[1] * dxv / state.hbar)
-    psi /= math.sqrt(float((np.abs(psi) ** 2).sum() * (x[1] - x[0])))
-    return DensityMatrixGrid(x, np.outer(psi, psi.conj()), state.hbar, mass)
+    psi = gaussian_wavefunction(x, state.mean, state.cov, state.hbar)
+    return DensityMatrixGrid(x, np.outer(psi, psi.conj()), state.hbar)
 
 
 def _position_factor(grid: DensityMatrixGrid, model: HamiltonianModel,
@@ -204,14 +201,14 @@ def _position_factor(grid: DensityMatrixGrid, model: HamiltonianModel,
             - diffusion.d_p * dx2 / (2.0 * grid.hbar**2))
 
 
-def _momentum_factor(grid: DensityMatrixGrid,
+def _momentum_factor(grid: DensityMatrixGrid, model: HamiltonianModel,
                      diffusion: DiffusionSpec) -> np.ndarray:
     # momentum-pair exponent in the fft2 layout: entry (k, m) belongs to
     # the ket momentum p_k and the bra momentum p_{-m mod n}
     p = grid.momentum
     p_bra = p[-np.arange(grid.n) % grid.n]
     return (-1j * (p[:, None] ** 2 - p_bra[None, :] ** 2)
-            / (2.0 * grid.mass * grid.hbar)
+            / (2.0 * model.mass * grid.hbar)
             - diffusion.d_x * (p[:, None] - p_bra[None, :]) ** 2
             / (2.0 * grid.hbar**2))
 
@@ -222,7 +219,7 @@ def apply_lindbladian(grid: DensityMatrixGrid, model: HamiltonianModel,
     if diffusion.hbar != grid.hbar:
         raise ValueError("diffusion spec and grid disagree on hbar")
     deriv = _position_factor(grid, model, diffusion) * grid.rho
-    deriv += sfft.ifft2(_momentum_factor(grid, diffusion)
+    deriv += sfft.ifft2(_momentum_factor(grid, model, diffusion)
                         * sfft.fft2(grid.rho))
     return deriv
 
@@ -252,10 +249,12 @@ def evolve_lindblad(rho0: DensityMatrixGrid, model: HamiltonianModel,
     the Hermiticity / trace / positivity invariants and the
     boundary-occupation bound; violations abort with the step index.
     """
+    if diffusion.hbar != rho0.hbar:
+        raise ValueError("diffusion spec and grid disagree on hbar")
     n_steps, dt, snap_steps = step_schedule(t_final, dt, snapshot_times)
 
     def snapshot(i, rho):
-        snap = DensityMatrixGrid(rho0.x, rho, rho0.hbar, rho0.mass)
+        snap = DensityMatrixGrid(rho0.x, rho, rho0.hbar)
         try:
             snap.check_invariants()
             if snap.edge_mass() > edge_tol:
@@ -266,8 +265,7 @@ def evolve_lindblad(rho0: DensityMatrixGrid, model: HamiltonianModel,
             raise RuntimeError(f"step {i}: {exc}") from None
         return i * dt, snap
 
-    out = [(0.0, DensityMatrixGrid(rho0.x, rho0.rho.copy(), rho0.hbar,
-                                   rho0.mass))]
+    out = [(0.0, DensityMatrixGrid(rho0.x, rho0.rho.copy(), rho0.hbar))]
     psi = _pure_column(rho0, diffusion)
     if psi is not None:
         # split-operator step (Feit & Fleck 1982): the factors of the
@@ -276,7 +274,7 @@ def evolve_lindblad(rho0: DensityMatrixGrid, model: HamiltonianModel,
         v = np.asarray(model.potential.value(rho0.x), dtype=float)
         half_v = np.exp(-0.5j * dt * v / rho0.hbar)
         kin = np.exp(-1j * dt * rho0.momentum**2
-                     / (2.0 * rho0.mass * rho0.hbar))
+                     / (2.0 * model.mass * rho0.hbar))
         for i in range(1, n_steps + 1):
             psi = half_v * sfft.ifft(kin * sfft.fft(half_v * psi))
             if i in snap_steps:
@@ -284,7 +282,7 @@ def evolve_lindblad(rho0: DensityMatrixGrid, model: HamiltonianModel,
         return out
 
     half_pos = np.exp(_position_factor(rho0, model, diffusion) * 0.5 * dt)
-    full_mom = np.exp(_momentum_factor(rho0, diffusion) * dt)
+    full_mom = np.exp(_momentum_factor(rho0, model, diffusion) * dt)
     # each step writes only to the new array its first product makes, so
     # the transforms and later products run in place and rho0.rho is
     # never overwritten

@@ -27,10 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fokker_planck import PhaseField
+from .gaussian import nts_eigenvalues, unwhiten, whiten, window_excess
 from .lindblad import DensityMatrixGrid
 from .potentials import HamiltonianModel
 from .rng import stream_normals
-from .scales import DiffusionSpec, ScaleReport, step_schedule
+from .scales import DiffusionSpec, ScaleReport, budget_z, step_schedule
 from . import _kernels
 
 __all__ = [
@@ -49,44 +50,25 @@ Z_FLOOR = 1.05
 # a spilled blur may have a negative eigenvalue down to this (relative)
 # round-off; below it the blur is broken and the spill aborts
 NOISE_ABORT_BELOW = -1e-9
-WINDOW_TOL = 1e-6       # validate: squeeze eigenvalues may pass the window
-DET_TOL = 1e-8          # and det(sigma) / (hbar/2)^2 miss 1 by these
+WINDOW_TOL = 1e-6       # squeeze eigenvalues may pass the window by this
+DET_TOL = 1e-8          # validate: det(sigma) / (hbar/2)^2 may miss 1 by this
 
 
 def effective_z(scales: ScaleReport, z_cap=None):
-    """Squeeze bound actually enforced by the construction.
-
-    With no diffusion drive the theorem gives no squeeze control; a user
-    cap is then mandatory and results are flagged "bound not applicable"
-    by the caller.  A floor above 1 keeps the relaxation matrix M finite.
+    """Squeeze bound actually enforced by the construction: the budget's
+    z (`budget_z`, which refuses D0 = 0 without a cap), capped by `z_cap`
+    and floored at `Z_FLOOR`.  The floor above 1 keeps the relaxation
+    matrix M finite.
     """
-    if scales.z_infinite:
-        if z_cap is None:
-            raise ValueError("diffusion strength D0 is zero: supply z_cap "
-                             "(the error bound is not applicable)")
-        z = float(z_cap)
-    else:
-        z = scales.z if z_cap is None else min(scales.z, float(z_cap))
+    z = budget_z(scales, z_cap)
+    if z_cap is not None:
+        z = min(float(z_cap), z)
     return max(z, Z_FLOOR)
-
-
-def _star_sqrt(scales: ScaleReport) -> np.ndarray:
-    return np.sqrt(np.diag(scales.sigma_star))
-
-
-def whiten(mat: np.ndarray, scales: ScaleReport) -> np.ndarray:
-    s = _star_sqrt(scales)
-    return mat / np.outer(s, s)
-
-
-def unwhiten(mat: np.ndarray, scales: ScaleReport) -> np.ndarray:
-    s = _star_sqrt(scales)
-    return mat * np.outer(s, s)
 
 
 def whiten_f(f: np.ndarray, scales: ScaleReport) -> np.ndarray:
     """Similarity transform sigma_star^(-1/2) F sigma_star^(1/2)."""
-    s = _star_sqrt(scales)
+    s = np.sqrt(np.diag(scales.sigma_star))
     return f * np.outer(1.0 / s, s)
 
 
@@ -121,8 +103,8 @@ def split_sdot(alpha, sigma, model: HamiltonianModel,
     invariant; S_D is positive semidefinite on the window.
     """
     sigma = np.asarray(sigma, dtype=float)
-    lam = np.linalg.eigvalsh(whiten(sigma, scales))
-    if lam.min() < 1.0 / z - 1e-6 or lam.max() > z + 1e-6:
+    lam = np.linalg.eigvalsh(whiten(sigma, scales.sigma_star))
+    if window_excess(lam, z) > WINDOW_TOL:
         raise ValueError("covariance is squeezed beyond the window "
                          f"[{1 / z:.4g}, {z:.4g}]: eigenvalues {lam}")
     sz, sd, _, _ = _batch_split_sdot(np.asarray(alpha, dtype=float)[None],
@@ -174,10 +156,6 @@ class MixtureEnsemble:
     def total_covs(self) -> np.ndarray:
         return self.covs + self.blurs
 
-    def squeeze_eigenvalues(self) -> np.ndarray:
-        s = _star_sqrt(self.scales)
-        return np.linalg.eigvalsh(self.covs / np.outer(s, s))
-
     def validate(self):
         if abs(self.weights.sum() - 1.0) > 1e-12 or self.weights.min() < 0:
             raise ValueError("weights must be nonnegative and sum to 1")
@@ -185,20 +163,20 @@ class MixtureEnsemble:
         dets = np.linalg.det(self.covs)
         if np.abs(dets / (hbar / 2.0) ** 2 - 1.0).max() > DET_TOL:
             raise ValueError("a particle covariance is not pure")
-        lam = self.squeeze_eigenvalues()
-        if lam.max() > self.z_eff + WINDOW_TOL \
-                or lam.min() < 1.0 / self.z_eff - WINDOW_TOL:
+        lam = nts_eigenvalues(self.covs, self.scales.sigma_star)
+        if window_excess(lam, self.z_eff) > WINDOW_TOL:
             raise ValueError("a particle violates the squeeze window")
 
 
-def coherent_ensemble(alpha, scales: ScaleReport, seed: int,
-                      z_cap=None) -> MixtureEnsemble:
-    """Single coherent particle at alpha (the theorem's initial state)."""
+def coherent_ensemble(alpha, scales: ScaleReport, seed: int, z_cap=None,
+                      particles: int = 1) -> MixtureEnsemble:
+    """`particles` equal-weight copies of the coherent state at alpha (the
+    theorem's initial state), with no blur."""
     return MixtureEnsemble(
-        weights=np.ones(1),
-        alphas=np.asarray(alpha, dtype=float).reshape(1, 2),
-        covs=scales.sigma_star[None, :, :].copy(),
-        blurs=np.zeros((1, 2, 2)),
+        weights=np.full(particles, 1.0 / particles),
+        alphas=np.tile(np.asarray(alpha, dtype=float), (particles, 1)),
+        covs=np.tile(scales.sigma_star, (particles, 1, 1)),
+        blurs=np.zeros((particles, 2, 2)),
         scales=scales, z_eff=effective_z(scales, z_cap), seed=seed)
 
 
@@ -210,15 +188,16 @@ def _batch_split_sdot(alphas, covs, model, diffusion, scales, z):
     f[:, 0, 1] = 1.0 / model.mass
     f[:, 1, 0] = -hess
     ft = whiten_f(f, scales)
-    st = whiten(covs, scales)
+    st = whiten(covs, scales.sigma_star)
     mm = m_matrix(st, scales, z)
     a = ft - mm
     sz_t = a @ st + st @ a.transpose(0, 2, 1)
-    d_t = whiten(diffusion.matrix(), scales)
+    d_t = whiten(diffusion.matrix(), scales.sigma_star)
     sd_t = d_t[None, :, :] + mm @ st + st @ mm
     grad = np.atleast_1d(model.potential.grad(alphas[:, 0]))
     flow = np.stack([alphas[:, 1] / model.mass, -grad], axis=1)
-    return unwhiten(sz_t, scales), unwhiten(sd_t, scales), flow, f
+    return (unwhiten(sz_t, scales.sigma_star),
+            unwhiten(sd_t, scales.sigma_star), flow, f)
 
 
 def evolve_mixture(ens: MixtureEnsemble, model: HamiltonianModel,
@@ -239,6 +218,7 @@ def evolve_mixture(ens: MixtureEnsemble, model: HamiltonianModel,
         raise ValueError("dt must be at most tau_H / 100")
     ens.validate()
     seed, scales, z = ens.seed, ens.scales, ens.z_eff
+    sig_star = scales.sigma_star
     lo, hi = model.domain
     if blur_cap is None and model.sup3 > 0:
         blur_cap = 4.0
@@ -247,8 +227,6 @@ def evolve_mixture(ens: MixtureEnsemble, model: HamiltonianModel,
     alphas = ens.alphas.copy()
     covs = ens.covs.copy()
     blurs = ens.blurs.copy()
-    s = _star_sqrt(scales)
-    w_out = np.outer(s, s)
     hbar = scales.hbar
     diag = dict(ens.diagnostics)
     diag.setdefault("max_defect_before", 0.0)
@@ -293,12 +271,10 @@ def evolve_mixture(ens: MixtureEnsemble, model: HamiltonianModel,
         covs *= scale[:, None, None]
 
         # squeeze-window clamp in whitened coordinates
-        st = covs / w_out[None, :, :]
-        lam, vec = np.linalg.eigh(st)
-        violation = max(float((lam[:, 1] - z).max()),
-                        float((1.0 / z - lam[:, 0]).max()), 0.0)
+        lam, vec = np.linalg.eigh(whiten(covs, sig_star))
+        violation = window_excess(lam, z)
         diag["max_nts_violation"] = max(diag["max_nts_violation"], violation)
-        if violation > 1e-6:
+        if violation > WINDOW_TOL:
             raise RuntimeError(f"step {step}: squeeze window violated by "
                                f"{violation:.3g}; reduce dt")
         if violation > 0.0:
@@ -306,12 +282,11 @@ def evolve_mixture(ens: MixtureEnsemble, model: HamiltonianModel,
             lam_cl *= (np.sqrt(lam[:, 0] * lam[:, 1])
                        / np.sqrt(lam_cl[:, 0] * lam_cl[:, 1]))[:, None]
             st = np.einsum("mij,mj,mkj->mik", vec, lam_cl, vec)
-            covs = st * w_out[None, :, :]
+            covs = unwhiten(st, sig_star)
 
         # spill oversized blur into center kicks (exact Gaussian split)
         if blur_cap is not None:
-            bt = blurs / w_out[None, :, :]
-            norm = np.linalg.eigvalsh(bt)[:, 1]
+            norm = np.linalg.eigvalsh(whiten(blurs, sig_star))[:, 1]
             for i in np.nonzero(norm > blur_cap)[0]:
                 kick = _noise_sqrt(blurs[i]) @ stream_normals(
                     seed, int(i), ens.steps_taken + step, (2,))
@@ -326,14 +301,14 @@ def evolve_mixture(ens: MixtureEnsemble, model: HamiltonianModel,
     return out
 
 
-def mixture_to_density_grid(ens: MixtureEnsemble, mass: float, n: int,
-                            x_min: float, x_max: float) -> DensityMatrixGrid:
+def mixture_to_density_grid(ens: MixtureEnsemble, n: int, x_min: float,
+                            x_max: float) -> DensityMatrixGrid:
     """Rasterize the mixture as a density matrix on a position grid."""
     x = x_min + (x_max - x_min) * np.arange(n) / n
     hbar = ens.scales.hbar
     rho = _kernels.rasterize_density(x, ens.weights, ens.alphas,
                                      ens.total_covs(), hbar)
-    grid = DensityMatrixGrid(x, rho, hbar, mass)
+    grid = DensityMatrixGrid(x, rho, hbar)
     if abs(grid.trace() - 1.0) > 1e-6:
         raise ValueError(f"grid trace {grid.trace():.8f}: grid does not "
                          "cover the mixture")

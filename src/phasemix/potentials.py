@@ -32,8 +32,6 @@ __all__ = [
 class Potential:
     """Interface: value/gradient/Hessian/third derivative plus sup bounds."""
 
-    params: tuple
-
     def value(self, x):
         raise NotImplementedError
 
@@ -58,10 +56,6 @@ class Potential:
 @dataclass
 class Harmonic(Potential):
     k: float = 1.0
-
-    @property
-    def params(self):
-        return (self.k,)
 
     def value(self, x):
         return 0.5 * self.k * np.asarray(x) ** 2
@@ -88,10 +82,6 @@ class DoubleWell(Potential):
 
     a: float = 1.0
     b: float = 1.0
-
-    @property
-    def params(self):
-        return (self.a, self.b)
 
     def value(self, x):
         x = np.asarray(x)
@@ -125,10 +115,6 @@ class Cosine(Potential):
 
     v0: float = 1.0
     k: float = 1.0
-
-    @property
-    def params(self):
-        return (self.v0, self.k)
 
     def value(self, x):
         return -self.v0 * np.cos(self.k * np.asarray(x))
@@ -165,10 +151,6 @@ class CubicHarmonic(Potential):
     """Cubic-perturbed harmonic well x^2/2 + eps x^3."""
 
     eps: float = 0.1
-
-    @property
-    def params(self):
-        return (self.eps,)
 
     def value(self, x):
         x = np.asarray(x)

@@ -22,7 +22,8 @@ from phasemix.fokker_planck import (evolve_fokker_planck,
 from phasemix.gaussian import (GaussianState, covariance_eigen_pairs,
                                gaussian_moment, gaussian_moment4,
                                gaussian_moment6, nts_eigenvalues,
-                               random_pure_cov, sigma_star, symplectic_form)
+                               random_pure_cov, sigma_star, symplectic_form,
+                               whiten)
 from phasemix.harmonic_error import harmonic_error_report
 from phasemix.harness import run_breakdown_demo, run_comparison
 from phasemix.langevin import (ensemble_histogram, evolve_langevin_ensemble,
@@ -30,7 +31,7 @@ from phasemix.langevin import (ensemble_histogram, evolve_langevin_ensemble,
 from phasemix.lindblad import (DensityMatrixGrid, gaussian_to_grid,
                                wigner_transform_grid)
 from phasemix.mixture import (MixtureEnsemble, effective_z, evolve_mixture,
-                              split_sdot, whiten)
+                              split_sdot)
 from phasemix.potentials import (Cosine, CubicHarmonic, DoubleWell,
                                  HamiltonianModel, Harmonic,
                                  hamiltonian_matrix)
@@ -165,7 +166,7 @@ class TestAcceptance:
                      0.25 * (1.0 - z**-2) / sc.m_rate)
             out = evolve_mixture(ens, model, diffusion, 10.0 * dt, dt)
             final = out[-1][1]
-            lam = final.squeeze_eigenvalues()
+            lam = nts_eigenvalues(final.covs, sc.sigma_star)
             worst_lam = max(worst_lam, float(lam.max() - z),
                             float(1.0 / z - lam.min()))
             worst_viol = max(worst_viol,
@@ -202,11 +203,11 @@ class TestAcceptance:
             scale = max(np.abs(full).max(), 1.0)
             worst_split = max(worst_split,
                               float(np.abs(sz + sd - full).max()) / scale)
-            sd_t = whiten(sd, sc)
+            sd_t = whiten(sd, sc.sigma_star)
             worst_eig = max(worst_eig,
                             -float(np.linalg.eigvalsh(sd_t).min()))
-            st = whiten(sigma, sc)
-            a = np.linalg.inv(st) @ whiten(sz, sc)
+            st = whiten(sigma, sc.sigma_star)
+            a = np.linalg.inv(st) @ whiten(sz, sc.sigma_star)
             worst_tan = max(worst_tan,
                             float(np.abs(a.T + omega.T @ a @ omega).max()))
         ok = worst_split <= 1e-10 and worst_eig <= 1e-9 \
@@ -305,7 +306,7 @@ class TestAcceptance:
         # Gaussian state: transform matches the analytic phase-space density
         cov = np.array([[0.8, 0.2], [0.2, (0.25 + 0.04) / 0.8]])
         g = gaussian_to_grid(GaussianState([0.5, -0.2], cov, 1.0),
-                             1.0, 256, -12.0, 12.0)
+                             256, -12.0, 12.0)
         w = wigner_transform_grid(g)
         ref = gaussian_phase_field([0.5, -0.2], cov, w.x, w.p)
         gauss_err = float(np.abs(w.values - ref.values).max())
@@ -323,7 +324,7 @@ class TestAcceptance:
                + np.exp(-(x + 2.0) ** 2)).astype(complex)
         psi /= np.sqrt((np.abs(psi) ** 2).sum() * dx)
         cat = wigner_transform_grid(
-            DensityMatrixGrid(x, np.outer(psi, psi.conj()), 1.0, 1.0))
+            DensityMatrixGrid(x, np.outer(psi, psi.conj()), 1.0))
         neg_ratio = -cat.values.min() / cat.values.max()
 
         ok = gauss_err < 1e-4 and weyl_err < 1e-6 and neg_ratio > 0.1

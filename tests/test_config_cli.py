@@ -9,6 +9,7 @@ from phasemix.cli import main
 from phasemix.config import (ExperimentConfig, parse_config, serialize_config)
 from phasemix.harness import (emit_plots, run_breakdown_demo, run_comparison,
                               ComparisonReport)
+from phasemix.mixture import coherent_ensemble
 from phasemix.scales import compute_scales
 
 HARMONIC_INI = """
@@ -151,6 +152,18 @@ class TestHarness:
             assert times == pytest.approx(rep.times, rel=1e-9)
         # the key sets the evolve-langevin step as well
         assert harness.Experiment.from_config(cfg).dt_langevin == dt_fp
+
+    def test_mixture0_is_the_coherent_ensemble(self):
+        cfg = parse_config(HARMONIC_INI.replace("particles = 1",
+                                                "particles = 4"))
+        exp = harness.Experiment.from_config(cfg)
+        ens = exp.mixture0()
+        ref = coherent_ensemble([cfg.x0, cfg.p0], exp.scales, cfg.seed,
+                                cfg.z_cap, cfg.particles)
+        assert ens.m == 4
+        for name in ("weights", "alphas", "covs", "blurs"):
+            assert np.array_equal(getattr(ens, name), getattr(ref, name))
+        assert (ens.z_eff, ens.seed) == (ref.z_eff, ref.seed)
 
     def test_zero_diffusion_without_cap_rejected(self):
         text = HARMONIC_INI.replace("d_x = 0.05", "d_x = 0.0") \

@@ -28,7 +28,6 @@ class TestPhaseField:
         x, p = grid(128)
         f = gaussian_phase_field([0.5, -0.3], 0.2 * np.eye(2), x, p)
         assert f.mass() == pytest.approx(1.0, abs=1e-9)
-        assert f.marginal_x().sum() * f.dx == pytest.approx(1.0, abs=1e-9)
         f.assert_probability()
 
     def test_moments(self):

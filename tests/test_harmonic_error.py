@@ -7,7 +7,6 @@ from phasemix.harmonic_error import (
     harmonic_error_report,
     lemma_bound_classical,
     lemma_bound_quantum,
-    main_text_mu,
     numeric_harmonic_error_classical,
     numeric_harmonic_error_quantum,
 )
@@ -68,7 +67,6 @@ class TestBounds:
             q = lemma_bound_quantum(sig, CUBIC, 1.0, 1)
             c = lemma_bound_classical(sig, CUBIC, 1.0, 1)
             assert c / q == pytest.approx(np.sqrt(9.0 / 5.0), rel=1e-12)
-            assert main_text_mu(sig, CUBIC, 1.0, 1) == pytest.approx(c)
 
     def test_dimension_scaling(self):
         sig = np.eye(6)
@@ -183,12 +181,10 @@ class TestDominance:
             rep.validate()  # numeric <= bound * 1.05
             assert rep.numeric_quantum <= rep.bound_quantum * 1.05
             assert rep.numeric_classical <= rep.bound_classical * 1.05
-            assert rep.mu >= rep.bound_quantum
+            assert rep.bound_classical >= rep.bound_quantum
 
     def test_report_validate_rejects_excess(self):
-        rep = HarmonicErrorReport(
-            alpha=np.zeros(2), sigma=np.eye(2), hbar=1.0, potential="t",
-            bound_quantum=1.0, bound_classical=1.0, mu=1.0,
-            numeric_quantum=1.2, numeric_classical=0.5)
+        rep = HarmonicErrorReport(bound_quantum=1.0, bound_classical=1.0,
+                                  numeric_quantum=1.2, numeric_classical=0.5)
         with pytest.raises(ValueError, match="quantum"):
             rep.validate()

@@ -28,7 +28,7 @@ NO_DIFF = DiffusionSpec(0.0, 0.0, 1.0)
 
 def coherent_grid(mean=(0.0, 0.0), n=256, box=12.0, a_H=1.0, hbar=1.0):
     st = GaussianState(np.asarray(mean, float), sigma_star(a_H, hbar), hbar)
-    return gaussian_to_grid(st, 1.0, n, -box, box)
+    return gaussian_to_grid(st, n, -box, box)
 
 
 class TestGaussianToGrid:
@@ -47,7 +47,7 @@ class TestGaussianToGrid:
 
     def test_squeezed_position_variance(self):
         st = GaussianState([0.0, 0.0], np.diag([1.0, 0.25]), 1.0)
-        g = gaussian_to_grid(st, 1.0, 256, -12.0, 12.0)
+        g = gaussian_to_grid(st, 256, -12.0, 12.0)
         _, cov = g.moments()
         assert cov[0, 0] == pytest.approx(1.0, rel=1e-3)
         assert cov[1, 1] == pytest.approx(0.25, rel=1e-3)
@@ -55,7 +55,7 @@ class TestGaussianToGrid:
     def test_cross_covariance(self):
         cov = np.array([[1.0, 0.3], [0.3, (0.25 + 0.09) / 1.0]])
         g = gaussian_to_grid(GaussianState([0.0, 0.0], cov, 1.0),
-                             1.0, 256, -12.0, 12.0)
+                             256, -12.0, 12.0)
         _, gcov = g.moments()
         assert gcov[0, 1] == pytest.approx(0.3, rel=5e-3)
 
@@ -68,12 +68,12 @@ class TestGaussianToGrid:
     def test_impure_rejected(self):
         st = GaussianState([0.0, 0.0], np.eye(2), 1.0)
         with pytest.raises(ValueError, match="not pure"):
-            gaussian_to_grid(st, 1.0, 128, -10.0, 10.0)
+            gaussian_to_grid(st, 128, -10.0, 10.0)
 
     def test_grid_too_small(self):
         st = GaussianState([0.0, 0.0], sigma_star(1.0, 1.0), 1.0)
         with pytest.raises(ValueError, match="grid too small"):
-            gaussian_to_grid(st, 1.0, 128, -2.0, 2.0)
+            gaussian_to_grid(st, 128, -2.0, 2.0)
 
 
 def density_kernel(st, x):
@@ -86,7 +86,7 @@ class TestMixedKernel:
     def test_pure_case_matches_outer_product(self):
         st = GaussianState([0.4, -0.2],
                            np.array([[1.0, 0.3], [0.3, 0.34]]), 1.0)
-        g = gaussian_to_grid(st, 1.0, 256, -12.0, 12.0)
+        g = gaussian_to_grid(st, 256, -12.0, 12.0)
         kern = density_kernel(st, g.x)
         assert np.abs(kern - g.rho).max() < 1e-8
 
@@ -94,7 +94,7 @@ class TestMixedKernel:
         cov = np.array([[1.0, 0.1], [0.1, 0.8]])  # mixed: det > (1/2)^2
         st = GaussianState([0.5, 0.3], cov, 1.0)
         x = np.linspace(-12, 12, 256, endpoint=False)
-        g = DensityMatrixGrid(x, density_kernel(st, x), 1.0, 1.0)
+        g = DensityMatrixGrid(x, density_kernel(st, x), 1.0)
         assert g.trace() == pytest.approx(1.0, abs=1e-9)
         mean, gcov = g.moments()
         assert np.allclose(mean, st.mean, atol=1e-6)
@@ -144,7 +144,7 @@ class TestDecoherenceRate:
         dx = x[1] - x[0]
         psi = (np.exp(-(x - x0) ** 2) + np.exp(-(x + x0) ** 2)).astype(complex)
         psi /= np.sqrt((np.abs(psi) ** 2).sum() * dx)
-        g0 = DensityMatrixGrid(x, np.outer(psi, psi.conj()), hbar, 1e6)
+        g0 = DensityMatrixGrid(x, np.outer(psi, psi.conj()), hbar)
         diff = DiffusionSpec(0.0, d_p, hbar)
         _, gt = evolve_lindblad(g0, model, diff, t, t / 50)[-1]
         i = np.argmin(np.abs(x - x0))
@@ -182,7 +182,7 @@ class TestEvolution:
     def test_harmonic_covariance_ode_oracle(self):
         cov0 = np.array([[1.0, 0.3], [0.3, 0.34]])
         g0 = gaussian_to_grid(GaussianState([0.5, 0.2], cov0, 1.0),
-                              1.0, 256, -12.0, 12.0)
+                              256, -12.0, 12.0)
         diff = DiffusionSpec(0.03, 0.05, 1.0)
         t = 0.7
         _, gt = evolve_lindblad(g0, HARMONIC, diff, t, 0.002)[-1]
@@ -219,6 +219,23 @@ class TestEvolution:
                                                  (-12.0, 12.0)),
                             NO_DIFF, 1.0, 0.01)
 
+    @pytest.mark.parametrize("diff", [NO_DIFF, DiffusionSpec(0.01, 0.01)],
+                             ids=["wavefunction", "density"])
+    def test_kinetic_term_uses_model_mass(self, diff):
+        # k = 1, m = 4: <x>(t) = x0 cos(t / 2) on both paths; the mean of
+        # a linear model does not feel diffusion
+        model = HamiltonianModel(4.0, Harmonic(1.0), (-12.0, 12.0))
+        g0 = coherent_grid(mean=(0.5, 0.0))
+        _, gt = evolve_lindblad(g0, model, diff, 1.0, 0.01)[-1]
+        mean, _ = gt.moments()
+        assert mean[0] == pytest.approx(0.5 * np.cos(0.5), abs=1e-5)
+
+    @pytest.mark.parametrize("d", [0.0, 0.01], ids=["wavefunction", "density"])
+    def test_hbar_mismatch_rejected(self, d):
+        with pytest.raises(ValueError, match="disagree on hbar"):
+            evolve_lindblad(coherent_grid(), HARMONIC,
+                            DiffusionSpec(d, d, 0.5), 1.0, 0.01)
+
 
 @pytest.fixture(scope="module")
 def unitary_512():
@@ -237,7 +254,7 @@ def spectral_grid(u, lam_min):
     lam *= (1.0 - lam_min) / lam[1:].sum()
     lam[0] = lam_min
     rho = (u * lam) @ u.conj().T / dx
-    return DensityMatrixGrid(x, 0.5 * (rho + rho.conj().T), 1.0, 1.0)
+    return DensityMatrixGrid(x, 0.5 * (rho + rho.conj().T), 1.0)
 
 
 class TestPositivityCheck:
@@ -256,8 +273,7 @@ class TestPositivityCheck:
     def test_accepts_rank_one(self, unitary_512):
         x = np.linspace(-12.0, 12.0, 512, endpoint=False)
         psi = unitary_512[:, 3] / np.sqrt(x[1] - x[0])
-        DensityMatrixGrid(x, np.outer(psi, psi.conj()), 1.0,
-                          1.0).check_invariants()
+        DensityMatrixGrid(x, np.outer(psi, psi.conj()), 1.0).check_invariants()
 
     @pytest.mark.parametrize("lam_min", [-3e-6, 1e-4])
     def test_leaves_rho_untouched(self, unitary_512, lam_min):
@@ -283,7 +299,7 @@ class TestPositivityCheck:
         # noiseless run takes the density path and its checks
         g1 = coherent_grid(mean=(2.0, 0.0))
         g2 = coherent_grid(mean=(-2.0, 0.0))
-        rho0 = DensityMatrixGrid(g1.x, 1.5 * g1.rho - 0.5 * g2.rho, 1.0, 1.0)
+        rho0 = DensityMatrixGrid(g1.x, 1.5 * g1.rho - 0.5 * g2.rho, 1.0)
         assert lindblad._pure_column(rho0, NO_DIFF) is None
         _, _, snap_steps = step_schedule(1.0, 0.01, [0.5, 1.0])
         with pytest.raises(RuntimeError,
@@ -297,7 +313,7 @@ class TestWigner:
     def test_gaussian_matches_analytic(self):
         cov = np.array([[1.0, 0.3], [0.3, 0.34]])
         g = gaussian_to_grid(GaussianState([0.5, -0.2], cov, 1.0),
-                             1.0, 256, -12.0, 12.0)
+                             256, -12.0, 12.0)
         w = wigner_transform_grid(g)
         ref = gaussian_phase_field([0.5, -0.2], cov, w.x, w.p)
         assert np.abs(w.values - ref.values).max() < 1e-4
@@ -315,7 +331,7 @@ class TestWigner:
         psi = (np.exp(-(x - 2.0) ** 2) + np.exp(-(x + 2.0) ** 2)
                ).astype(complex)
         psi /= np.sqrt((np.abs(psi) ** 2).sum() * dx)
-        g = DensityMatrixGrid(x, np.outer(psi, psi.conj()), 1.0, 1.0)
+        g = DensityMatrixGrid(x, np.outer(psi, psi.conj()), 1.0)
         w = wigner_transform_grid(g)
         assert w.values.min() < -0.1 * w.values.max()
         # fringes live at the midpoint between the two packets
@@ -325,7 +341,7 @@ class TestWigner:
     def test_weyl_trace_formula(self):
         cov = np.array([[0.8, 0.2], [0.2, (0.25 + 0.04) / 0.8]])
         g = gaussian_to_grid(GaussianState([0.3, 0.1], cov, 1.0),
-                             1.0, 256, -12.0, 12.0)
+                             256, -12.0, 12.0)
         w = wigner_transform_grid(g)
         v = HARMONIC.potential.value
         lhs = float((np.diag(g.rho).real * v(g.x)).sum() * g.dx)
@@ -397,7 +413,7 @@ def evolve_density_reference(rho0, model, diffusion, t_final, dt,
     n_steps, dt, snap_steps = step_schedule(t_final, dt, snapshot_times)
     p = rho0.momentum
     mom = (-1j * (p[:, None] ** 2 - p[None, :] ** 2)
-           / (2.0 * rho0.mass * rho0.hbar)
+           / (2.0 * model.mass * rho0.hbar)
            - diffusion.d_x * (p[:, None] - p[None, :]) ** 2
            / (2.0 * rho0.hbar**2))
     half_pos = np.exp(lindblad._position_factor(rho0, model, diffusion)
@@ -467,7 +483,7 @@ class TestPathsMatchReference:
         g1 = coherent_grid(mean=(1.0, 0.0))
         g2 = coherent_grid(mean=(-1.5, 0.5))
         w1, w2 = 0.3, 0.7
-        mixed = DensityMatrixGrid(g1.x, w1 * g1.rho + w2 * g2.rho, 1.0, 1.0)
+        mixed = DensityMatrixGrid(g1.x, w1 * g1.rho + w2 * g2.rho, 1.0)
         assert lindblad._pure_column(g1, NO_DIFF) is not None
         assert lindblad._pure_column(mixed, NO_DIFF) is None
         run = [evolve_lindblad(g, HARMONIC, NO_DIFF, 1.0, 0.01,

@@ -4,7 +4,13 @@ from scipy.linalg import expm
 
 from phasemix import _kernels
 from phasemix.fokker_planck import l1_distance
-from phasemix.gaussian import random_pure_cov, symplectic_form
+from phasemix.gaussian import (
+    nts_eigenvalues,
+    random_pure_cov,
+    symplectic_form,
+    unwhiten,
+    whiten,
+)
 from phasemix.lindblad import (
     evolve_lindblad,
     gaussian_to_grid,
@@ -21,7 +27,6 @@ from phasemix.mixture import (
     mixture_to_density_grid,
     mixture_to_phase_field,
     split_sdot,
-    whiten,
     whiten_f,
 )
 from phasemix.potentials import (
@@ -47,7 +52,7 @@ def random_nts_cov(scales, z, rng, margin=0.9):
     while True:
         cov = random_pure_cov(1, scales.hbar, scales.a_H, rng,
                               scale=rng.uniform(0.05, 0.6))
-        lam = np.linalg.eigvalsh(whiten(cov, scales))
+        lam = np.linalg.eigvalsh(whiten(cov, scales.sigma_star))
         if lam.max() <= margin * z and lam.min() >= 1.0 / (margin * z):
             return cov
 
@@ -115,7 +120,7 @@ class TestMMatrix:
         sc = scales_for(WELL, 0.1, 0.1)
         rng = np.random.default_rng(2)
         for _ in range(20):
-            st = whiten(random_nts_cov(sc, 3.0, rng), sc)
+            st = whiten(random_nts_cov(sc, 3.0, rng), sc.sigma_star)
             m1 = m_matrix(st, sc, 3.0)
             m2 = m_matrix(np.linalg.inv(st), sc, 3.0)
             assert np.abs(m1 + m2).max() < 1e-10
@@ -123,7 +128,7 @@ class TestMMatrix:
     def test_commutes_with_sigma(self):
         sc = scales_for(WELL, 0.1, 0.1)
         rng = np.random.default_rng(3)
-        st = whiten(random_nts_cov(sc, 3.0, rng), sc)
+        st = whiten(random_nts_cov(sc, 3.0, rng), sc.sigma_star)
         m = m_matrix(st, sc, 3.0)
         assert np.abs(m @ st - st @ m).max() < 1e-10
 
@@ -135,7 +140,7 @@ class TestMMatrix:
     def test_stack_matches_each_matrix(self):
         sc = scales_for(WELL, 0.1, 0.1)
         rng = np.random.default_rng(4)
-        st = np.stack([whiten(random_nts_cov(sc, 3.0, rng), sc)
+        st = np.stack([whiten(random_nts_cov(sc, 3.0, rng), sc.sigma_star)
                        for _ in range(6)])
         batch = m_matrix(st, sc, 3.0)
         for k in range(6):
@@ -171,11 +176,11 @@ class TestSplitSdot:
             scale = max(np.abs(rhs).max(), 1.0)
             assert np.abs(sz + sd - rhs).max() < 1e-10 * scale
             # S_D positive semidefinite on the window
-            sd_t = whiten(sd, sc)
+            sd_t = whiten(sd, sc.sigma_star)
             assert np.linalg.eigvalsh(sd_t).min() > -1e-9
             # tangency: sigma evolving along S_Z stays pure
-            st = whiten(cov, sc)
-            sz_t = whiten(sz, sc)
+            st = whiten(cov, sc.sigma_star)
+            sz_t = whiten(sz, sc.sigma_star)
             a = np.linalg.inv(st) @ sz_t
             assert np.abs(a.T + omega.T @ a @ omega).max() < 1e-10
 
@@ -207,15 +212,14 @@ class TestSplitSdot:
                 sz, _ = split_sdot(alpha, cov, model, diff, sc, z)
                 lam, vec = np.linalg.eigh(st)
                 v = vec[:, 0]
-                sz_t = whiten(sz, sc)
+                sz_t = whiten(sz, sc.sigma_star)
                 assert v @ sz_t @ v > -1e-10
 
     def test_non_nts_rejected(self):
         diff = DiffusionSpec(0.02, 0.04, 1.0)
         sc = compute_scales(WELL, diff)
         z = effective_z(sc, z_cap=3.0)
-        from phasemix.mixture import unwhiten
-        bad = unwhiten(np.diag([10.0, 0.1]), sc)
+        bad = unwhiten(np.diag([10.0, 0.1]), sc.sigma_star)
         with pytest.raises(ValueError, match="squeezed"):
             split_sdot([0.0, 0.0], bad, WELL, diff, sc, z)
 
@@ -258,9 +262,9 @@ class TestEvolveMixture:
         t = 3.0
         _, eT = evolve_mixture(ens, HARMONIC, diff, t, 0.01)[-1]
         st = GaussianState([1.0, 0.0], sc.sigma_star, 1.0)
-        g0 = gaussian_to_grid(st, 1.0, 256, -12.0, 12.0)
+        g0 = gaussian_to_grid(st, 256, -12.0, 12.0)
         _, gq = evolve_lindblad(g0, HARMONIC, diff, t, 0.005)[-1]
-        gm = mixture_to_density_grid(eT, 1.0, 256, -12.0, 12.0)
+        gm = mixture_to_density_grid(eT, 256, -12.0, 12.0)
         assert trace_distance(gq, gm) < 1e-3
 
     def test_strong_diffusion_pins_covariance(self):
@@ -269,7 +273,7 @@ class TestEvolveMixture:
         assert sc.z == 1.0
         ens = coherent_ensemble([0.7, 0.0], sc, seed=1)
         _, eT = evolve_mixture(ens, WELL, diff, 0.5, 0.001)[-1]
-        lam = eT.squeeze_eigenvalues()
+        lam = nts_eigenvalues(eT.covs, sc.sigma_star)
         assert lam.max() <= 1.05 + 1e-9
         assert lam.min() >= 1.0 / 1.05 - 1e-9
 
@@ -289,7 +293,7 @@ class TestEvolveMixture:
             traj = evolve_mixture(ens, model, diff, 20 * 0.3 * sc.tau_H / 20,
                                   0.005 * sc.tau_H)
             _, eT = traj[-1]
-            lam = eT.squeeze_eigenvalues()
+            lam = nts_eigenvalues(eT.covs, sc.sigma_star)
             assert lam.max() <= z + 1e-6
             assert lam.min() >= 1.0 / z - 1e-6
             assert eT.diagnostics["max_defect_before"] < 1e-5
@@ -331,26 +335,26 @@ class TestRasterization:
         diff = DiffusionSpec(0.05, 0.05, 1.0)
         sc = compute_scales(HARMONIC, diff)
         ens = coherent_ensemble([0.4, -0.1], sc, seed=0, z_cap=2.0)
-        g = mixture_to_density_grid(ens, 1.0, 256, -10.0, 10.0)
+        g = mixture_to_density_grid(ens, 256, -10.0, 10.0)
         assert g.trace() == pytest.approx(1.0, abs=1e-6)
         assert g.purity() == pytest.approx(1.0, abs=1e-6)
 
     def test_two_orthogonalish_particles_purity_half(self):
         ens = self._two_particle_ensemble(6.0)
-        g = mixture_to_density_grid(ens, 1.0, 256, -10.0, 10.0)
+        g = mixture_to_density_grid(ens, 256, -10.0, 10.0)
         assert g.purity() == pytest.approx(0.5, abs=1e-4)
 
     def test_degenerate_weight_equals_single(self):
         ens = self._two_particle_ensemble(3.0)
         ens.weights = np.array([1.0, 0.0])
-        g = mixture_to_density_grid(ens, 1.0, 256, -10.0, 10.0)
+        g = mixture_to_density_grid(ens, 256, -10.0, 10.0)
         solo = coherent_ensemble([-1.5, 0.0], ens.scales, seed=0, z_cap=2.0)
-        gs = mixture_to_density_grid(solo, 1.0, 256, -10.0, 10.0)
+        gs = mixture_to_density_grid(solo, 256, -10.0, 10.0)
         assert np.abs(g.rho - gs.rho).max() < 1e-12
 
     def test_phase_field_mass_and_wigner_consistency(self):
         ens = self._two_particle_ensemble(3.0)
-        g = mixture_to_density_grid(ens, 1.0, 256, -10.0, 10.0)
+        g = mixture_to_density_grid(ens, 256, -10.0, 10.0)
         w = wigner_transform_grid(g)
         direct = mixture_to_phase_field(ens, w.x, w.p)
         assert direct.mass() == pytest.approx(1.0, abs=1e-6)
@@ -359,7 +363,7 @@ class TestRasterization:
     def test_grid_coverage_failure(self):
         ens = self._two_particle_ensemble(3.0)
         with pytest.raises(ValueError, match="cover"):
-            mixture_to_density_grid(ens, 1.0, 64, -2.0, 2.0)
+            mixture_to_density_grid(ens, 64, -2.0, 2.0)
 
 
 class TestCompactKernels:
@@ -456,3 +460,36 @@ class TestValidation:
         ens.covs = 2.0 * ens.covs
         with pytest.raises(ValueError, match="pure"):
             ens.validate()
+
+    @pytest.mark.parametrize("excess, inside", [(2e-6, False), (5e-7, True)])
+    def test_squeeze_window_boundary(self, excess, inside):
+        # validate and split_sdot both let whitened eigenvalues pass z_eff
+        # by WINDOW_TOL = 1e-6 and no further
+        diff = DiffusionSpec(0.05, 0.05, 1.0)
+        sc = compute_scales(HARMONIC, diff)
+        ens = coherent_ensemble([0.0, 0.0], sc, seed=0, z_cap=2.0)
+        lam = ens.z_eff + excess
+        ens.covs = unwhiten(np.diag([lam, 1.0 / lam]), sc.sigma_star)[None]
+
+        def split():
+            split_sdot([0.0, 0.0], ens.covs[0], HARMONIC, diff, sc,
+                       ens.z_eff)
+
+        if inside:
+            ens.validate()
+            split()
+        else:
+            with pytest.raises(ValueError, match="squeeze window"):
+                ens.validate()
+            with pytest.raises(ValueError, match="squeezed"):
+                split()
+
+    def test_coherent_ensemble_of_three(self):
+        sc = compute_scales(HARMONIC, DiffusionSpec(0.05, 0.05, 1.0))
+        ens = coherent_ensemble([0.4, -0.1], sc, seed=7, z_cap=2.0,
+                                particles=3)
+        assert np.array_equal(ens.weights, np.full(3, 1.0 / 3.0))
+        assert np.array_equal(ens.alphas, np.tile([0.4, -0.1], (3, 1)))
+        assert np.array_equal(ens.covs, np.tile(sc.sigma_star, (3, 1, 1)))
+        assert not ens.blurs.any()
+        ens.validate()
