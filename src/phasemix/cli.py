@@ -76,8 +76,10 @@ def cmd_scales(args):
     rep = Experiment.from_config(cfg).scales
     s_h = math.inf if rep.harmonic else rep.s_H
     z = math.inf if rep.z_infinite else rep.z
-    eps = theorem_epsilon(rep, cfg.t_final, 1, cfg.z_cap) \
-        if (not rep.z_infinite or cfg.z_cap) else math.inf
+    try:
+        eps = theorem_epsilon(rep, cfg.t_final, 1, cfg.z_cap)
+    except ValueError:  # budget_z: D0 = 0 and no z_cap
+        eps = math.inf
     for name, v in [("tau_H", rep.tau_H), ("a_H", rep.a_H), ("s_H", s_h),
                     ("x_H", rep.x_H), ("p_H", rep.p_H), ("D0", rep.d0),
                     ("z", z), (f"epsilon(t={cfg.t_final})", eps)]:

@@ -7,7 +7,7 @@ case its eigenvalues come in pairs (lam, (hbar/2)^2 / lam).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm

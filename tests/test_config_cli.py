@@ -219,6 +219,26 @@ class TestCLI:
         assert row[2] == "inf"       # harmonic: s_H flagged infinite
         assert "tau_H" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("potential, params, eps", [
+        ("harmonic", "1.0", "0.0"),         # theorem_epsilon: exact
+        ("double_well", "0.25, 1.0", "inf"),  # budget_z refuses
+    ])
+    def test_scales_noiseless_without_cap(self, tmp_path, capsys,
+                                          potential, params, eps):
+        text = HARMONIC_INI.replace("potential = harmonic",
+                                    f"potential = {potential}") \
+                           .replace("params = 1.0", f"params = {params}") \
+                           .replace("d_x = 0.05", "d_x = 0.0") \
+                           .replace("d_p = 0.05", "d_p = 0.0") \
+                           .replace("z_cap = 3.0\n", "")
+        cfg = write_cfg(tmp_path, text)
+        assert self.run("scales", "--config", cfg,
+                        "--out", str(tmp_path)) == 0
+        out = capsys.readouterr().out.split()
+        assert out[out.index("epsilon(t=1.0)") + 1] == eps
+        row = (tmp_path / "scales.csv").read_text().splitlines()[1]
+        assert row.split(",")[-1] == eps
+
     def test_evolve_subcommands_write_moments(self, tmp_path):
         cfg = write_cfg(tmp_path)
         for sub, fname in (("evolve-quantum", "quantum.csv"),

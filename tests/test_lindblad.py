@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.fft as sfft
 from scipy.integrate import solve_ivp
+from scipy.linalg.lapack import zpotrf
 
 from phasemix import _kernels, lindblad
 from phasemix.config import parse_config
@@ -257,6 +258,28 @@ def spectral_grid(u, lam_min):
     return DensityMatrixGrid(x, 0.5 * (rho + rho.conj().T), 1.0)
 
 
+def decohered_grid(lam_min=0.0):
+    """512-point grid state rho(x, x') = d(x) exp(-2 (x - x')^2) d*(x'),
+    a Schur product of PSD kernels, whose far coherences are subnormal;
+    with lam_min < 0 the diagonal is shifted so that rho dx has smallest
+    eigenvalue lam_min and trace 1.  Hermitian exactly."""
+    x = np.linspace(-12.0, 12.0, 512, endpoint=False)
+    dx = x[1] - x[0]
+    d = np.exp(-0.5 * x**2 + 1.3j * x)
+    rho = d[:, None] * np.exp(-2.0 * (x[:, None] - x[None, :]) ** 2) \
+        * d.conj()[None, :]
+    rho /= np.trace(rho).real * dx
+    if lam_min < 0.0:
+        s = -lam_min / (1.0 - lam_min * x.size)
+        rho = (rho - s / dx * np.eye(x.size)) / (1.0 - s * x.size)
+    return DensityMatrixGrid(x, 0.5 * (rho + rho.conj().T), 1.0)
+
+
+def subnormal_parts(a):
+    parts = np.abs(np.stack([a.real, a.imag]))
+    return np.count_nonzero((parts > 0.0) & (parts < np.finfo(float).tiny))
+
+
 class TestPositivityCheck:
     def test_rejects_eigenvalue_below_tolerance(self, unitary_512):
         g = spectral_grid(unitary_512, -3e-6)
@@ -294,6 +317,26 @@ class TestPositivityCheck:
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         g.check_invariants()
 
+    def test_subnormal_coherences_flushed_in_the_copy(self, monkeypatch):
+        factored = []
+
+        def spy(a, **kwargs):
+            factored.append(subnormal_parts(a))
+            return zpotrf(a, **kwargs)
+
+        monkeypatch.setattr(lindblad, "zpotrf", spy)
+        good, bad = decohered_grid(), decohered_grid(-3e-6)
+        assert bad.min_eigenvalue() == pytest.approx(-3e-6, rel=1e-6)
+        before = [good.rho.copy(), bad.rho.copy()]
+        assert min(subnormal_parts(b) for b in before) > 4000
+        good.check_invariants()
+        with pytest.raises(RuntimeError, match=r"lost positivity: min "
+                                               r"eigenvalue -3e-06$"):
+            bad.check_invariants()
+        assert factored == [0, 0]
+        for g, b in zip((good, bad), before):
+            assert g.rho.tobytes() == b.tobytes()
+
     def test_indefinite_noiseless_run_aborts_at_first_snapshot(self):
         # trace 1 but eigenvalues near 1.5 and -0.5; not rank-1, so the
         # noiseless run takes the density path and its checks
@@ -309,7 +352,54 @@ class TestPositivityCheck:
                             snapshot_times=[0.5, 1.0])
 
 
+def random_grid(n, seed, defect=0.0):
+    """n-point grid state with a random Hermitian rho, plus `defect`
+    added to rho[-1, -2]."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    rho = a + a.conj().T
+    rho[-1, -2] += defect
+    return DensityMatrixGrid(np.linspace(-3.0, 3.0, n, endpoint=False),
+                             rho, 1.0)
+
+
+@pytest.mark.parametrize("n", [512, 100, 63])
+def test_hermiticity_defect_is_the_dense_max(n):
+    # the largest defect and its mirror sit in the last row block, a
+    # partial one at n = 100 and n = 63; a smaller one in the first
+    g = random_grid(n, n, defect=1e-3 + 2e-3j)
+    g.rho[5, 7] += 1e-13
+    dense = float(np.abs(g.rho - g.rho.conj().T).max())
+    assert dense == pytest.approx(abs(1e-3 + 2e-3j))
+    assert g.hermiticity_defect() == dense
+
+
+def wigner_reference(grid):
+    """The Wigner transform with g[i, j] = rho[i+j, i-j] gathered through
+    clipped index arrays and the output ordered by argsort(p)."""
+    n = grid.n
+    rho = grid.rho
+    idx = np.arange(n)
+    j = np.fft.fftfreq(n, 1.0 / n).astype(int)[None, :]
+    a = idx[:, None] + j
+    b = idx[:, None] - j
+    valid = (a >= 0) & (a < n) & (b >= 0) & (b < n)
+    g = np.where(valid, rho[np.clip(a, 0, n - 1), np.clip(b, 0, n - 1)], 0.0)
+    w = sfft.fft(g, axis=1).real * (grid.dx / (np.pi * grid.hbar))
+    p = np.pi * grid.hbar / (n * grid.dx) * np.fft.fftfreq(n, 1.0 / n)
+    order = np.argsort(p)
+    return p[order], np.ascontiguousarray(w[:, order])
+
+
 class TestWigner:
+    @pytest.mark.parametrize("n", [512, 64, 63])
+    def test_diagonal_gather_matches_reference(self, n):
+        g = random_grid(n, 100 + n)
+        w = wigner_transform_grid(g)
+        p, values = wigner_reference(g)
+        assert w.p.tobytes() == p.tobytes()
+        assert w.values.tobytes() == values.tobytes()
+
     def test_gaussian_matches_analytic(self):
         cov = np.array([[1.0, 0.3], [0.3, 0.34]])
         g = gaussian_to_grid(GaussianState([0.5, -0.2], cov, 1.0),
