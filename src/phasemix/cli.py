@@ -74,19 +74,18 @@ _MOMENT_HEADER = ["time", "mean_x", "mean_p", "cov_xx", "cov_xp", "cov_pp"]
 def cmd_scales(args):
     cfg = _load(args)
     rep = Experiment.from_config(cfg).scales
-    s_h = math.inf if rep.harmonic else rep.s_H
-    z = math.inf if rep.z_infinite else rep.z
     try:
         eps = theorem_epsilon(rep, cfg.t_final, 1, cfg.z_cap)
     except ValueError:  # budget_z: D0 = 0 and no z_cap
         eps = math.inf
-    for name, v in [("tau_H", rep.tau_H), ("a_H", rep.a_H), ("s_H", s_h),
+    for name, v in [("tau_H", rep.tau_H), ("a_H", rep.a_H), ("s_H", rep.s_H),
                     ("x_H", rep.x_H), ("p_H", rep.p_H), ("D0", rep.d0),
-                    ("z", z), (f"epsilon(t={cfg.t_final})", eps)]:
+                    ("z", rep.z), (f"epsilon(t={cfg.t_final})", eps)]:
         print(f"{name:>20s}  {v!r}")
     _save(_out_dir(cfg), "scales.csv",
           ["tau_H", "a_H", "s_H", "x_H", "p_H", "D0", "z", "epsilon_t"],
-          [(rep.tau_H, rep.a_H, s_h, rep.x_H, rep.p_H, rep.d0, z, eps)])
+          [(rep.tau_H, rep.a_H, rep.s_H, rep.x_H, rep.p_H, rep.d0, rep.z,
+            eps)])
     return 0
 
 
@@ -136,7 +135,8 @@ def cmd_evolve_mixture(args):
     cfg = _load(args)
     exp = Experiment.from_config(cfg)
     traj = evolve_mixture(exp.mixture0(), exp.model, exp.diffusion,
-                          cfg.t_final, exp.dt_mixture, blur_cap=cfg.blur_cap,
+                          cfg.t_final, exp.dt_mixture, z_cap=cfg.z_cap,
+                          blur_cap=cfg.blur_cap,
                           snapshot_times=exp.snapshot_times)
     rows = []
     for t, ens in traj:

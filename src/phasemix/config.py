@@ -46,7 +46,6 @@ class ExperimentConfig:
     # the step of both classical solvers; unset, Fokker-Planck takes
     # tau_H/100 and evolve-langevin tau_H/200
     dt_classical: Optional[float] = None
-    dt_mixture: Optional[float] = None
     n_grid: int = 256
     n_phase: int = 128
     p_min: Optional[float] = None
@@ -74,7 +73,7 @@ class ExperimentConfig:
             raise ValueError("[diffusion] hbar must be positive")
         if self.t_final <= 0:
             raise ValueError("[numerics] t_final must be positive")
-        for name in ("dt_quantum", "dt_classical", "dt_mixture"):
+        for name in ("dt_quantum", "dt_classical"):
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise ValueError(f"[numerics] {name} must be positive")
@@ -125,9 +124,9 @@ _SECTIONS = {
     "model": ("potential", "params", "mass", "x_min", "x_max"),
     "diffusion": ("d_x", "d_p", "hbar"),
     "initial": ("x0", "p0"),
-    "numerics": ("t_final", "dt_quantum", "dt_classical", "dt_mixture",
-                 "n_grid", "n_phase", "p_min", "p_max", "particles",
-                 "samples", "snapshots", "edge_tol"),
+    "numerics": ("t_final", "dt_quantum", "dt_classical", "n_grid",
+                 "n_phase", "p_min", "p_max", "particles", "samples",
+                 "snapshots", "edge_tol"),
     "flags": ("seed", "z_cap", "blur_cap", "effective_diffusion", "margin",
               "out"),
 }

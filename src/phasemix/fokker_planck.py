@@ -139,7 +139,7 @@ def evolve_fokker_planck(f0: PhaseField, model: HamiltonianModel,
     Any `dt` is stable; the step actually taken is `step_schedule`'s, at
     most `dt`.  Returns a list of (t, PhaseField) snapshots (t = 0
     included).  Aborts when outflow through the boundary exceeds
-    `LEAK_TOL` of the mass.
+    `LEAK_TOL` of the mass, or is NaN.
     """
     n_steps, dt, snap_steps = step_schedule(t_final, dt, snapshot_times)
     vals = np.ascontiguousarray(f0.values.copy())
@@ -164,7 +164,7 @@ def evolve_fokker_planck(f0: PhaseField, model: HamiltonianModel,
         else:
             p_open = dt
         leak = 1.0 - vals.sum() / mass0
-        if abs(leak) > LEAK_TOL:
+        if not abs(leak) <= LEAK_TOL:
             raise RuntimeError(
                 f"step {step}: boundary mass leak {leak:.3g} exceeds "
                 f"{LEAK_TOL}; enlarge the phase-space box")

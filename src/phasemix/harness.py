@@ -24,8 +24,9 @@ from .fokker_planck import (PhaseField, evolve_fokker_planck,
 from .gaussian import GaussianState, nts_eigenvalues
 from .lindblad import (DensityMatrixGrid, evolve_lindblad, gaussian_to_grid,
                        trace_distance, wigner_transform_grid)
-from .mixture import (MixtureEnsemble, coherent_ensemble, evolve_mixture,
-                      mixture_to_density_grid, mixture_to_phase_field)
+from .mixture import (MixtureEnsemble, coherent_ensemble, effective_z,
+                      evolve_mixture, mixture_to_density_grid,
+                      mixture_to_phase_field)
 from .potentials import HamiltonianModel
 from .scales import (DiffusionSpec, ScaleReport, budget_z, compute_scales,
                      ehrenfest_time, theorem_epsilon)
@@ -39,8 +40,9 @@ class ComparisonReport:
     """Distance time series of the mixture against both reference solvers.
 
     `z_budget` is the squeeze bound in the budget epsilon(t); `z_mixture`
-    is the one the mixture enforces (`effective_z`: capped by `z_cap` and
-    floored at `Z_FLOOR`), so the two differ when either applies.
+    is the one the mixture run enforces, `effective_z(scales, z_cap)`
+    (capped by `z_cap` and floored at `Z_FLOOR`), so the two differ when
+    either applies.
     """
 
     scales: ScaleReport
@@ -80,9 +82,10 @@ class Experiment:
     Holds the model, diffusion, scales, snapshot times, the step size each
     solver is asked for (`dt_quantum`; `dt_classical` for Fokker-Planck and
     `dt_langevin` for `evolve-langevin`, both set by `[numerics]
-    dt_classical`; `dt_mixture`) and the phase-grid cell centres `x`, `p`.
-    The initial states are built only on request: they are N x N arrays,
-    and `mixture0` rejects a D0 = 0 config without `z_cap`.
+    dt_classical`; `dt_mixture`, always tau_H/200) and the phase-grid
+    cell centres `x`, `p`.  The initial states are built only on request:
+    they are N x N arrays.  `mixture0` is a state and accepts any
+    diffusion; the mixture run refuses a D0 = 0 config without `z_cap`.
     """
 
     cfg: ExperimentConfig
@@ -120,7 +123,7 @@ class Experiment:
                    cfg.dt_quantum or scales.tau_H / 100.0,
                    cfg.dt_classical or scales.tau_H / 100.0,
                    cfg.dt_classical or scales.tau_H / 200.0,
-                   cfg.dt_mixture or scales.tau_H / 200.0, x, p)
+                   scales.tau_H / 200.0, x, p)
 
     def rho0(self) -> DensityMatrixGrid:
         cfg = self.cfg
@@ -135,14 +138,15 @@ class Experiment:
     def mixture0(self) -> MixtureEnsemble:
         cfg = self.cfg
         return coherent_ensemble([cfg.x0, cfg.p0], self.scales, cfg.seed,
-                                 cfg.z_cap, cfg.particles)
+                                 cfg.particles)
 
 
 def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
     """Evolve quantum / classical / mixture and compare against epsilon(t)."""
     exp = Experiment.from_config(cfg)
     scales, snaps = exp.scales, exp.snapshot_times
-    ens0 = exp.mixture0()  # rejects D0 = 0 without a cap
+    # the mixture's window; refuses D0 = 0 without a cap before any solver
+    z_mixture = effective_z(scales, cfg.z_cap)
     bound_applicable = not scales.harmonic and not scales.z_infinite
 
     q_traj = evolve_lindblad(exp.rho0(), exp.model, exp.diffusion,
@@ -151,9 +155,9 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
     c_traj = evolve_fokker_planck(exp.f0(), exp.model, exp.diffusion,
                                   cfg.t_final, exp.dt_classical,
                                   snapshot_times=snaps)
-    m_traj = evolve_mixture(ens0, exp.model, exp.diffusion, cfg.t_final,
-                            exp.dt_mixture, blur_cap=cfg.blur_cap,
-                            snapshot_times=snaps)
+    m_traj = evolve_mixture(exp.mixture0(), exp.model, exp.diffusion,
+                            cfg.t_final, exp.dt_mixture, z_cap=cfg.z_cap,
+                            blur_cap=cfg.blur_cap, snapshot_times=snaps)
 
     times, tds, l1s, epss, passes = [], [], [], [], []
     max_squeeze = 0.0
@@ -188,7 +192,7 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
                             epsilons=epss, passes=passes,
                             max_squeeze=max_squeeze, diagnostics=diagnostics,
                             z_budget=budget_z(scales, cfg.z_cap),
-                            z_mixture=ens0.z_eff)
+                            z_mixture=z_mixture)
 
 
 def _wigner_stats(grid):

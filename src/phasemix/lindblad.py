@@ -170,11 +170,12 @@ class DensityMatrixGrid:
         most n sqrt(2) FLUSH_BELOW in spectral norm, so subnormal
         coherences do not slow the factorization.  Eigenvalues are
         computed only to report a failure; rho itself is not modified.
+        Each test is written as `not x <= tol`, so a NaN fails it.
         """
-        if self.hermiticity_defect() > HERM_TOL:
+        if not self.hermiticity_defect() <= HERM_TOL:
             raise RuntimeError("density matrix lost Hermiticity: defect "
                                f"{self.hermiticity_defect():.3g}")
-        if abs(self.trace() - 1.0) > TRACE_TOL:
+        if not abs(self.trace() - 1.0) <= TRACE_TOL:
             raise RuntimeError(f"trace drifted to {self.trace():.10f}")
         a = self.rho * self.dx
         parts = a.view(float)
@@ -275,7 +276,7 @@ def evolve_lindblad(rho0: DensityMatrixGrid, model: HamiltonianModel,
         snap = DensityMatrixGrid(rho0.x, rho, rho0.hbar)
         try:
             snap.check_invariants()
-            if snap.edge_mass() > edge_tol:
+            if not snap.edge_mass() <= edge_tol:
                 raise RuntimeError(
                     f"boundary occupation {snap.edge_mass():.3g} exceeds "
                     f"{edge_tol}; enlarge the grid")

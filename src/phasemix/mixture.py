@@ -15,11 +15,18 @@ stochastic center kick, which is exact in distribution for the mixture.
 For quadratic potentials the linearized transport is exact, so a single
 particle reproduces the full mixed Gaussian state with no sampling noise.
 
+A `MixtureEnsemble` is a state only, like `DensityMatrixGrid`: it holds
+the particles, hbar and the seed of its kick streams.  Each
+`evolve_mixture` call derives the scales and the window z from the model,
+diffusion and `z_cap` it is given, so a run cannot mix the scales of one
+diffusion with the noise of another.
+
 The squeeze window is enforced in whitened coordinates: the eigenvalues of
-sigma-tilde = sigma_star^(-1/2) sigma sigma_star^(-1/2) stay in
-[1/z_eff, z_eff].  At z = 1 the window collapses to sigma_star; a floor
-z_eff >= Z_FLOOR keeps the relaxation term M nonstiff while remaining
-conservative for the error budget.
+sigma-tilde = sigma_star^(-1/2) sigma sigma_star^(-1/2) stay in [1/z, z],
+z = `effective_z(scales, z_cap)`.  At z = 1 the window collapses to
+sigma_star; a floor z >= Z_FLOOR keeps the relaxation term M nonstiff
+while remaining conservative for the error budget.  Every abort check is
+written as `not x <= tol`, so that a NaN fails it.
 """
 
 from dataclasses import dataclass, field
@@ -29,9 +36,10 @@ import numpy as np
 from .fokker_planck import PhaseField
 from .gaussian import nts_eigenvalues, unwhiten, whiten, window_excess
 from .lindblad import DensityMatrixGrid
-from .potentials import HamiltonianModel
+from .potentials import HamiltonianModel, hamiltonian_matrix
 from .rng import stream_normals
-from .scales import DiffusionSpec, ScaleReport, budget_z, step_schedule
+from .scales import (DiffusionSpec, ScaleReport, budget_z, compute_scales,
+                     step_schedule)
 from . import _kernels
 
 __all__ = [
@@ -55,8 +63,8 @@ DET_TOL = 1e-8          # validate: det(sigma) / (hbar/2)^2 may miss 1 by this
 
 
 def effective_z(scales: ScaleReport, z_cap=None):
-    """Squeeze bound actually enforced by the construction: the budget's
-    z (`budget_z`, which refuses D0 = 0 without a cap), capped by `z_cap`
+    """Squeeze bound z that `evolve_mixture` enforces: the budget's z
+    (`budget_z`, which refuses D0 = 0 without a cap), capped by `z_cap`
     and floored at `Z_FLOOR`.  The floor above 1 keeps the relaxation
     matrix M finite.
     """
@@ -104,7 +112,7 @@ def split_sdot(alpha, sigma, model: HamiltonianModel,
     """
     sigma = np.asarray(sigma, dtype=float)
     lam = np.linalg.eigvalsh(whiten(sigma, scales.sigma_star))
-    if window_excess(lam, z) > WINDOW_TOL:
+    if not window_excess(lam, z) <= WINDOW_TOL:
         raise ValueError("covariance is squeezed beyond the window "
                          f"[{1 / z:.4g}, {z:.4g}]: eigenvalues {lam}")
     sz, sd, _, _ = _batch_split_sdot(np.asarray(alpha, dtype=float)[None],
@@ -124,16 +132,18 @@ def _noise_sqrt(mat: np.ndarray) -> np.ndarray:
 class MixtureEnsemble:
     """Weighted Gaussian particles (weight, center, pure sigma, blur C).
 
-    The rasterized state uses per-particle total covariance sigma + C.
-    Diagnostics accumulate worst-case purity/squeeze numbers over a run.
+    A state only: the particles, hbar (which fixes purity) and the seed
+    of the kick streams.  The scales and the squeeze window belong to the
+    run, which derives them from its model and diffusion.  The rasterized
+    state uses per-particle total covariance sigma + C.  Diagnostics
+    accumulate worst-case purity/squeeze numbers over a run.
     """
 
     weights: np.ndarray
     alphas: np.ndarray
     covs: np.ndarray
     blurs: np.ndarray
-    scales: ScaleReport
-    z_eff: float
+    hbar: float
     seed: int
     steps_taken: int = 0
     diagnostics: dict = field(default_factory=dict)
@@ -156,19 +166,21 @@ class MixtureEnsemble:
     def total_covs(self) -> np.ndarray:
         return self.covs + self.blurs
 
-    def validate(self):
-        if abs(self.weights.sum() - 1.0) > 1e-12 or self.weights.min() < 0:
+    def validate(self, sigma_star: np.ndarray, z: float):
+        """Refuse bad weights, an impure particle or one outside the
+        squeeze window [1/z, z] around sigma_star."""
+        w = self.weights
+        if not (abs(w.sum() - 1.0) <= 1e-12 and w.min() >= 0):
             raise ValueError("weights must be nonnegative and sum to 1")
-        hbar = self.scales.hbar
         dets = np.linalg.det(self.covs)
-        if np.abs(dets / (hbar / 2.0) ** 2 - 1.0).max() > DET_TOL:
+        if not np.abs(dets / (self.hbar / 2.0) ** 2 - 1.0).max() <= DET_TOL:
             raise ValueError("a particle covariance is not pure")
-        lam = nts_eigenvalues(self.covs, self.scales.sigma_star)
-        if window_excess(lam, self.z_eff) > WINDOW_TOL:
+        lam = nts_eigenvalues(self.covs, sigma_star)
+        if not window_excess(lam, z) <= WINDOW_TOL:
             raise ValueError("a particle violates the squeeze window")
 
 
-def coherent_ensemble(alpha, scales: ScaleReport, seed: int, z_cap=None,
+def coherent_ensemble(alpha, scales: ScaleReport, seed: int,
                       particles: int = 1) -> MixtureEnsemble:
     """`particles` equal-weight copies of the coherent state at alpha (the
     theorem's initial state), with no blur."""
@@ -176,17 +188,12 @@ def coherent_ensemble(alpha, scales: ScaleReport, seed: int, z_cap=None,
         weights=np.full(particles, 1.0 / particles),
         alphas=np.tile(np.asarray(alpha, dtype=float), (particles, 1)),
         covs=np.tile(scales.sigma_star, (particles, 1, 1)),
-        blurs=np.zeros((particles, 2, 2)),
-        scales=scales, z_eff=effective_z(scales, z_cap), seed=seed)
+        blurs=np.zeros((particles, 2, 2)), hbar=scales.hbar, seed=seed)
 
 
 def _batch_split_sdot(alphas, covs, model, diffusion, scales, z):
     """Vectorized (S_Z, S_D, flow, F) over all particles (d = 1)."""
-    m = alphas.shape[0]
-    hess = np.atleast_1d(model.potential.hess(alphas[:, 0]))
-    f = np.zeros((m, 2, 2))
-    f[:, 0, 1] = 1.0 / model.mass
-    f[:, 1, 0] = -hess
+    f = hamiltonian_matrix(model, alphas)
     ft = whiten_f(f, scales)
     st = whiten(covs, scales.sigma_star)
     mm = m_matrix(st, scales, z)
@@ -202,8 +209,12 @@ def _batch_split_sdot(alphas, covs, model, diffusion, scales, z):
 
 def evolve_mixture(ens: MixtureEnsemble, model: HamiltonianModel,
                    diffusion: DiffusionSpec, t_final: float, dt: float,
-                   blur_cap=None, snapshot_times=None):
+                   z_cap=None, blur_cap=None, snapshot_times=None):
     """Evolve the whole ensemble; returns [(t, MixtureEnsemble)].
+
+    The run's scales are `compute_scales(model, diffusion)` and its
+    squeeze window is `effective_z(scales, z_cap)`; `ens` must lie inside
+    that window and share the diffusion's hbar.
 
     Deterministic transport: joint 4th-order step of (alpha, sigma, C)
     along (flow, S_Z, F C + C F^T + S_D).  Purity projection and squeeze
@@ -214,11 +225,15 @@ def evolve_mixture(ens: MixtureEnsemble, model: HamiltonianModel,
     particle-steps whose center ends outside `model.domain`, where the
     sup-derivative bounds no longer hold.
     """
-    if dt > 1e-2 * ens.scales.tau_H * (1.0 + 1e-12):
+    if diffusion.hbar != ens.hbar:
+        raise ValueError("diffusion spec and ensemble disagree on hbar")
+    scales = compute_scales(model, diffusion)
+    z = effective_z(scales, z_cap)
+    if dt > 1e-2 * scales.tau_H * (1.0 + 1e-12):
         raise ValueError("dt must be at most tau_H / 100")
-    ens.validate()
-    seed, scales, z = ens.seed, ens.scales, ens.z_eff
     sig_star = scales.sigma_star
+    ens.validate(sig_star, z)
+    seed, hbar = ens.seed, ens.hbar
     lo, hi = model.domain
     if blur_cap is None and model.sup3 > 0:
         blur_cap = 4.0
@@ -227,7 +242,6 @@ def evolve_mixture(ens: MixtureEnsemble, model: HamiltonianModel,
     alphas = ens.alphas.copy()
     covs = ens.covs.copy()
     blurs = ens.blurs.copy()
-    hbar = scales.hbar
     diag = dict(ens.diagnostics)
     diag.setdefault("max_defect_before", 0.0)
     diag.setdefault("max_displacement", 0.0)
@@ -237,7 +251,7 @@ def evolve_mixture(ens: MixtureEnsemble, model: HamiltonianModel,
 
     def snapshot(step):
         return MixtureEnsemble(ens.weights.copy(), alphas.copy(),
-                               covs.copy(), blurs.copy(), scales, z, seed,
+                               covs.copy(), blurs.copy(), hbar, seed,
                                ens.steps_taken + step, dict(diag))
 
     out = [(0.0, snapshot(0))]
@@ -274,7 +288,7 @@ def evolve_mixture(ens: MixtureEnsemble, model: HamiltonianModel,
         lam, vec = np.linalg.eigh(whiten(covs, sig_star))
         violation = window_excess(lam, z)
         diag["max_nts_violation"] = max(diag["max_nts_violation"], violation)
-        if violation > WINDOW_TOL:
+        if not violation <= WINDOW_TOL:
             raise RuntimeError(f"step {step}: squeeze window violated by "
                                f"{violation:.3g}; reduce dt")
         if violation > 0.0:
@@ -305,10 +319,9 @@ def mixture_to_density_grid(ens: MixtureEnsemble, n: int, x_min: float,
                             x_max: float) -> DensityMatrixGrid:
     """Rasterize the mixture as a density matrix on a position grid."""
     x = x_min + (x_max - x_min) * np.arange(n) / n
-    hbar = ens.scales.hbar
     rho = _kernels.rasterize_density(x, ens.weights, ens.alphas,
-                                     ens.total_covs(), hbar)
-    grid = DensityMatrixGrid(x, rho, hbar)
+                                     ens.total_covs(), ens.hbar)
+    grid = DensityMatrixGrid(x, rho, ens.hbar)
     if abs(grid.trace() - 1.0) > 1e-6:
         raise ValueError(f"grid trace {grid.trace():.8f}: grid does not "
                          "cover the mixture")

@@ -256,20 +256,18 @@ def harmonic_expansion(model: HamiltonianModel, a_x: float) -> QuadraticExpansio
 
 
 def hamiltonian_matrix(model: HamiltonianModel, alpha) -> np.ndarray:
-    """Linearized flow generator F = [[0, I/m], [-V''(x), 0]] at alpha.
+    """Linearized flow generator F = [[0, 1/m], [-V''(x), 0]] at alpha.
 
     F is the Jacobian of the flow (p/m, -V'(x)), so that means obey
     da/dt = F a near a fixed point and covariances obey
     ds/dt = F s + s F^T + D; both are validated against the grid solver
     in the harmonic case.  F satisfies F^T Omega + Omega F = 0, and the
     whitened version has operator norm at most 1/tau_H whenever the local
-    Hessian obeys the sup bound.
+    Hessian obeys the sup bound.  Takes one centre (x, p) or a stack
+    (..., 2) and returns (..., 2, 2).
     """
     alpha = np.asarray(alpha, dtype=float)
-    d = alpha.size // 2
-    hess = np.atleast_1d(model.potential.hess(alpha[:d])) * np.eye(d)
-    f = np.zeros((2 * d, 2 * d))
-    f[:d, d:] = np.eye(d) / model.mass
-    f[d:, :d] = -hess
+    f = np.zeros(alpha.shape[:-1] + (2, 2))
+    f[..., 0, 1] = 1.0 / model.mass
+    f[..., 1, 0] = -model.potential.hess(alpha[..., 0])
     return f
-

@@ -158,7 +158,7 @@ class TestAcceptance:
                                for _ in range(2)])
             ens = MixtureEnsemble(
                 weights=np.full(2, 0.5), alphas=alphas, covs=covs,
-                blurs=np.zeros((2, 2, 2)), scales=sc, z_eff=z,
+                blurs=np.zeros((2, 2, 2)), hbar=sc.hbar,
                 seed=int(rng.integers(1 << 31)))
             # the window relaxation stiffens like 4 m_rate / (1 - z^-2)
             # near the floor; keep the explicit stage stable

@@ -84,6 +84,8 @@ class TestConfig:
          .replace("potential = harmonic", "potential = double_well"),
          "'double_well' takes exactly 2 params (a, b); got 1"),
         (lambda s: s.replace("params = 1.0\n", ""), "[model] params"),
+        (lambda s: s.replace("[flags]", "dt_mixture = 0.01\n\n[flags]"),
+         "[numerics] dt_mixture: unknown option"),
     ])
     def test_anchored_errors(self, mangle, fragment):
         with pytest.raises(ValueError, match=re.escape(fragment)):
@@ -159,11 +161,11 @@ class TestHarness:
         exp = harness.Experiment.from_config(cfg)
         ens = exp.mixture0()
         ref = coherent_ensemble([cfg.x0, cfg.p0], exp.scales, cfg.seed,
-                                cfg.z_cap, cfg.particles)
+                                cfg.particles)
         assert ens.m == 4
         for name in ("weights", "alphas", "covs", "blurs"):
             assert np.array_equal(getattr(ens, name), getattr(ref, name))
-        assert (ens.z_eff, ens.seed) == (ref.z_eff, ref.seed)
+        assert (ens.hbar, ens.seed) == (ref.hbar, ref.seed)
 
     def test_zero_diffusion_without_cap_rejected(self):
         text = HARMONIC_INI.replace("d_x = 0.05", "d_x = 0.0") \

@@ -295,6 +295,13 @@ class TestSolver:
         with pytest.raises(RuntimeError, match="leak"):
             evolve_fokker_planck(f0, weak, NO_DIFF, 3.0, 0.005)
 
+    def test_nan_cell_aborts_at_step_one(self):
+        x, p = grid(32)
+        f0 = gaussian_phase_field([0.0, 0.0], 0.25 * np.eye(2), x, p)
+        f0.values[5, 7] = np.nan
+        with pytest.raises(RuntimeError, match="step 1: boundary mass leak"):
+            evolve_fokker_planck(f0, HARMONIC, NO_DIFF, 0.1, 0.01)
+
     def test_positivity_tolerance(self):
         x, p = grid(256)
         f0 = gaussian_phase_field([2.0, 0.0], 0.25 * np.eye(2), x, p)

@@ -221,7 +221,7 @@ def test_noise_is_not_a_mixture_particles_kick(monkeypatch):
     ens = mixture.MixtureEnsemble(
         weights=np.full(4, 0.25), alphas=np.tile([0.5, 0.0], (4, 1)),
         covs=np.tile(sc.sigma_star, (4, 1, 1)), blurs=np.zeros((4, 2, 2)),
-        scales=sc, z_eff=mixture.effective_z(sc), seed=seed)
+        hbar=sc.hbar, seed=seed)
     mixture.evolve_mixture(ens, well, diff, 0.001, 0.001, blur_cap=1e-12)
     # every particle spilled at step 1
     assert sorted(blocks["mixture"]) == [(seed, i, 1) for i in range(4)]

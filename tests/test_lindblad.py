@@ -337,6 +337,16 @@ class TestPositivityCheck:
         for g, b in zip((good, bad), before):
             assert g.rho.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("i, j", [(2, 5), (3, 3)])
+    def test_nan_entry_fails_the_checks(self, i, j):
+        # an off-diagonal pair or a diagonal entry; every comparison with
+        # NaN is False, so a check written as "defect > tol" would pass it
+        x = np.linspace(-1.0, 1.0, 8, endpoint=False)
+        rho = np.eye(8, dtype=complex) / (8 * (x[1] - x[0]))
+        rho[i, j] = rho[j, i] = np.nan
+        with pytest.raises(RuntimeError):
+            DensityMatrixGrid(x, rho, 1.0).check_invariants()
+
     def test_indefinite_noiseless_run_aborts_at_first_snapshot(self):
         # trace 1 but eigenvalues near 1.5 and -0.5; not rank-1, so the
         # noiseless run takes the density path and its checks

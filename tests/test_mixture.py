@@ -231,10 +231,11 @@ class TestEvolveMixture:
         z = effective_z(sc, z_cap=3.0)
         cov = random_nts_cov(sc, z, np.random.default_rng(8))
         ens = MixtureEnsemble(np.ones(1), np.array([[0.5, 0.1]]), cov[None],
-                              np.zeros((1, 2, 2)), sc, z, seed=0)
+                              np.zeros((1, 2, 2)), sc.hbar, seed=0)
         f = hamiltonian_matrix(HARMONIC, [0.0, 0.0])
         for dt in (0.01, 0.005):
-            _, e1 = evolve_mixture(ens, HARMONIC, diff, dt, dt)[-1]
+            _, e1 = evolve_mixture(ens, HARMONIC, diff, dt, dt,
+                                   z_cap=3.0)[-1]
             exact = expm(f * dt) @ cov @ expm(f.T * dt)
             # projection keeps the det fixed; error per step is O(dt^5)
             assert np.abs(e1.covs[0] - exact).max() < 10.0 * dt**5
@@ -242,8 +243,9 @@ class TestEvolveMixture:
     def test_fixed_point_at_sigma_star(self):
         diff = DiffusionSpec(0.0, 0.0, 1.0)
         sc = compute_scales(HARMONIC, diff)
-        ens = coherent_ensemble([0.0, 0.0], sc, seed=0, z_cap=3.0)
-        _, e1 = evolve_mixture(ens, HARMONIC, diff, 0.01, 0.01)[-1]
+        ens = coherent_ensemble([0.0, 0.0], sc, seed=0)
+        _, e1 = evolve_mixture(ens, HARMONIC, diff, 0.01, 0.01,
+                               z_cap=3.0)[-1]
         assert np.abs(e1.covs[0] - sc.sigma_star).max() < 1e-14
         assert all(v == 0 for v in e1.diagnostics.values())
 
@@ -251,16 +253,16 @@ class TestEvolveMixture:
         model = HamiltonianModel(1.0, Harmonic(1.0), (-1.0, 1.0))
         diff = DiffusionSpec(0.05, 0.05, 1.0)
         sc = compute_scales(model, diff)
-        ens = coherent_ensemble([0.9, 2.0], sc, seed=0, z_cap=3.0)
-        _, eT = evolve_mixture(ens, model, diff, 1.0, 0.01)[-1]
+        ens = coherent_ensemble([0.9, 2.0], sc, seed=0)
+        _, eT = evolve_mixture(ens, model, diff, 1.0, 0.01, z_cap=3.0)[-1]
         assert eT.diagnostics["domain_exits"] > 0
 
     def test_harmonic_matches_lindblad(self):
         diff = DiffusionSpec(0.05, 0.05, 1.0)
         sc = compute_scales(HARMONIC, diff)
-        ens = coherent_ensemble([1.0, 0.0], sc, seed=5, z_cap=3.0)
+        ens = coherent_ensemble([1.0, 0.0], sc, seed=5)
         t = 3.0
-        _, eT = evolve_mixture(ens, HARMONIC, diff, t, 0.01)[-1]
+        _, eT = evolve_mixture(ens, HARMONIC, diff, t, 0.01, z_cap=3.0)[-1]
         st = GaussianState([1.0, 0.0], sc.sigma_star, 1.0)
         g0 = gaussian_to_grid(st, 256, -12.0, 12.0)
         _, gq = evolve_lindblad(g0, HARMONIC, diff, t, 0.005)[-1]
@@ -288,7 +290,7 @@ class TestEvolveMixture:
             cov = random_nts_cov(sc, z, rng)
             x0 = rng.uniform(0.3 * model.domain[0], 0.3 * model.domain[1])
             ens = MixtureEnsemble(np.ones(1), np.array([[x0, 0.0]]),
-                                  cov[None], np.zeros((1, 2, 2)), sc, z,
+                                  cov[None], np.zeros((1, 2, 2)), sc.hbar,
                                   seed=trial)
             traj = evolve_mixture(ens, model, diff, 20 * 0.3 * sc.tau_H / 20,
                                   0.005 * sc.tau_H)
@@ -320,21 +322,46 @@ class TestEvolveMixture:
         with pytest.raises(ValueError, match="tau_H"):
             evolve_mixture(ens, WELL, diff, 1.0, sc.tau_H)
 
+    def test_hbar_mismatch_refused(self):
+        sc = scales_for(WELL, 0.3, 0.5)
+        ens = coherent_ensemble([0.5, 0.0], sc, seed=0)
+        with pytest.raises(ValueError, match="disagree on hbar"):
+            evolve_mixture(ens, WELL, DiffusionSpec(0.3, 0.5, 0.5), 0.01,
+                           0.001)
+
+    def test_run_takes_its_scales_from_its_diffusion(self):
+        # an ensemble started at strong-diffusion scales, run under weak
+        # diffusion: the relaxation M and the noise D must both be the
+        # weak run's, or S_D loses positivity and so does the blur
+        ens = coherent_ensemble([0.5, 0.0], scales_for(WELL, 0.3, 0.5),
+                                seed=0)
+        _, eT = evolve_mixture(ens, WELL, DiffusionSpec(0.003, 0.005, 1.0),
+                               0.5, 0.001)[-1]
+        assert eT.diagnostics["spill_count"] == 0
+        assert np.linalg.eigvalsh(eT.blurs).min() >= -1e-12
+
+    def test_nan_centre_aborts_at_step_one(self):
+        sc = scales_for(WELL, 0.3, 0.5)
+        ens = coherent_ensemble([0.5, 0.0], sc, seed=0, particles=2)
+        ens.alphas[1, 0] = np.nan
+        with pytest.raises(RuntimeError, match="step 1: squeeze window"):
+            evolve_mixture(ens, WELL, DiffusionSpec(0.3, 0.5, 1.0), 0.01,
+                           0.001)
+
 
 class TestRasterization:
     def _two_particle_ensemble(self, sep=3.0):
         diff = DiffusionSpec(0.05, 0.05, 1.0)
         sc = compute_scales(HARMONIC, diff)
-        z = effective_z(sc, z_cap=2.0)
         covs = np.stack([sc.sigma_star, sc.sigma_star])
         alphas = np.array([[-sep / 2, 0.0], [sep / 2, 0.0]])
         return MixtureEnsemble(np.array([0.5, 0.5]), alphas, covs,
-                               np.zeros((2, 2, 2)), sc, z, seed=0)
+                               np.zeros((2, 2, 2)), sc.hbar, seed=0)
 
     def test_single_particle_rank_one(self):
         diff = DiffusionSpec(0.05, 0.05, 1.0)
         sc = compute_scales(HARMONIC, diff)
-        ens = coherent_ensemble([0.4, -0.1], sc, seed=0, z_cap=2.0)
+        ens = coherent_ensemble([0.4, -0.1], sc, seed=0)
         g = mixture_to_density_grid(ens, 256, -10.0, 10.0)
         assert g.trace() == pytest.approx(1.0, abs=1e-6)
         assert g.purity() == pytest.approx(1.0, abs=1e-6)
@@ -348,7 +375,8 @@ class TestRasterization:
         ens = self._two_particle_ensemble(3.0)
         ens.weights = np.array([1.0, 0.0])
         g = mixture_to_density_grid(ens, 256, -10.0, 10.0)
-        solo = coherent_ensemble([-1.5, 0.0], ens.scales, seed=0, z_cap=2.0)
+        sc = scales_for(HARMONIC, 0.05, 0.05)
+        solo = coherent_ensemble([-1.5, 0.0], sc, seed=0)
         gs = mixture_to_density_grid(solo, 256, -10.0, 10.0)
         assert np.abs(g.rho - gs.rho).max() < 1e-12
 
@@ -411,8 +439,8 @@ class TestCompactKernels:
             self, monkeypatch):
         weights, alphas, covs = self.particles(4)
         sc = compute_scales(HARMONIC, DiffusionSpec(0.05, 0.05, self.HBAR))
-        ens = MixtureEnsemble(weights, alphas, covs, np.zeros_like(covs), sc,
-                              2.0, seed=0)
+        ens = MixtureEnsemble(weights, alphas, covs, np.zeros_like(covs),
+                              sc.hbar, seed=0)
         x = np.linspace(-3.0, 3.0, 64, endpoint=False) + 3.0 / 64
         p = np.linspace(-2.0, 2.0, 48, endpoint=False) + 2.0 / 48
         # k = 1 samples the cell centres themselves
@@ -448,48 +476,54 @@ class TestValidation:
     def test_bad_weights(self):
         diff = DiffusionSpec(0.05, 0.05, 1.0)
         sc = compute_scales(HARMONIC, diff)
-        ens = coherent_ensemble([0.0, 0.0], sc, seed=0, z_cap=2.0)
+        ens = coherent_ensemble([0.0, 0.0], sc, seed=0)
         ens.weights = np.array([0.7])
         with pytest.raises(ValueError, match="weights"):
-            ens.validate()
+            ens.validate(sc.sigma_star, effective_z(sc, z_cap=2.0))
 
     def test_impure_particle(self):
         diff = DiffusionSpec(0.05, 0.05, 1.0)
         sc = compute_scales(HARMONIC, diff)
-        ens = coherent_ensemble([0.0, 0.0], sc, seed=0, z_cap=2.0)
+        ens = coherent_ensemble([0.0, 0.0], sc, seed=0)
         ens.covs = 2.0 * ens.covs
         with pytest.raises(ValueError, match="pure"):
-            ens.validate()
+            ens.validate(sc.sigma_star, effective_z(sc, z_cap=2.0))
 
     @pytest.mark.parametrize("excess, inside", [(2e-6, False), (5e-7, True)])
     def test_squeeze_window_boundary(self, excess, inside):
-        # validate and split_sdot both let whitened eigenvalues pass z_eff
-        # by WINDOW_TOL = 1e-6 and no further
+        # validate, split_sdot and a run all let whitened eigenvalues pass
+        # the run's z by WINDOW_TOL = 1e-6 and no further
         diff = DiffusionSpec(0.05, 0.05, 1.0)
         sc = compute_scales(HARMONIC, diff)
-        ens = coherent_ensemble([0.0, 0.0], sc, seed=0, z_cap=2.0)
-        lam = ens.z_eff + excess
+        z = effective_z(sc, z_cap=2.0)
+        ens = coherent_ensemble([0.0, 0.0], sc, seed=0)
+        lam = z + excess
         ens.covs = unwhiten(np.diag([lam, 1.0 / lam]), sc.sigma_star)[None]
 
         def split():
-            split_sdot([0.0, 0.0], ens.covs[0], HARMONIC, diff, sc,
-                       ens.z_eff)
+            split_sdot([0.0, 0.0], ens.covs[0], HARMONIC, diff, sc, z)
+
+        def run():
+            evolve_mixture(ens, HARMONIC, diff, 0.01, 0.01, z_cap=2.0)
 
         if inside:
-            ens.validate()
+            ens.validate(sc.sigma_star, z)
             split()
+            run()
         else:
             with pytest.raises(ValueError, match="squeeze window"):
-                ens.validate()
+                ens.validate(sc.sigma_star, z)
             with pytest.raises(ValueError, match="squeezed"):
                 split()
+            with pytest.raises(ValueError, match="squeeze window"):
+                run()
 
     def test_coherent_ensemble_of_three(self):
         sc = compute_scales(HARMONIC, DiffusionSpec(0.05, 0.05, 1.0))
-        ens = coherent_ensemble([0.4, -0.1], sc, seed=7, z_cap=2.0,
-                                particles=3)
+        ens = coherent_ensemble([0.4, -0.1], sc, seed=7, particles=3)
         assert np.array_equal(ens.weights, np.full(3, 1.0 / 3.0))
         assert np.array_equal(ens.alphas, np.tile([0.4, -0.1], (3, 1)))
         assert np.array_equal(ens.covs, np.tile(sc.sigma_star, (3, 1, 1)))
         assert not ens.blurs.any()
-        ens.validate()
+        assert ens.hbar == sc.hbar
+        ens.validate(sc.sigma_star, effective_z(sc, z_cap=2.0))

@@ -117,10 +117,15 @@ class TestFlowAndF:
     def test_f_is_hamiltonian_matrix(self, model):
         omega = symplectic_form(1)
         rng = np.random.default_rng(9)
-        for _ in range(50):
-            alpha = [rng.uniform(*model.domain), rng.normal()]
+        alphas = np.column_stack([rng.uniform(*model.domain, 50),
+                                  rng.normal(size=50)])
+        for alpha in alphas:
             f = hamiltonian_matrix(model, alpha)
             assert np.abs(f.T @ omega + omega @ f).max() < 1e-14
+        # a stack of centres gives the per-centre matrices bit for bit
+        stack = hamiltonian_matrix(model, alphas.reshape(5, 10, 2))
+        assert np.array_equal(stack.reshape(50, 2, 2),
+                              [hamiltonian_matrix(model, a) for a in alphas])
 
     @pytest.mark.parametrize("model", ALL_MODELS,
                              ids=lambda m: type(m.potential).__name__)
