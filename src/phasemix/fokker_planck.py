@@ -73,9 +73,9 @@ class PhaseField:
         return float(self.values.sum() * self.cell_area)
 
     def assert_probability(self) -> None:
-        if abs(self.mass() - 1.0) > MASS_TOL:
+        if not abs(self.mass() - 1.0) <= MASS_TOL:
             raise ValueError(f"field mass {self.mass():.8f} is not 1")
-        if self.values.min() < -UNDERSHOOT_TOL:
+        if not self.values.min() >= -UNDERSHOOT_TOL:
             raise ValueError(f"field undershoots to {self.values.min():.3g}")
 
     def moments(self):

@@ -167,11 +167,13 @@ class MixtureEnsemble:
         return self.covs + self.blurs
 
     def validate(self, sigma_star: np.ndarray, z: float):
-        """Refuse bad weights, an impure particle or one outside the
-        squeeze window [1/z, z] around sigma_star."""
+        """Refuse bad weights, a non-finite blur, an impure particle or one
+        outside the squeeze window [1/z, z] around sigma_star."""
         w = self.weights
         if not (abs(w.sum() - 1.0) <= 1e-12 and w.min() >= 0):
             raise ValueError("weights must be nonnegative and sum to 1")
+        if not np.isfinite(self.blurs).all():
+            raise ValueError("a particle blur is not finite")
         dets = np.linalg.det(self.covs)
         if not np.abs(dets / (self.hbar / 2.0) ** 2 - 1.0).max() <= DET_TOL:
             raise ValueError("a particle covariance is not pure")
@@ -298,6 +300,11 @@ def evolve_mixture(ens: MixtureEnsemble, model: HamiltonianModel,
             st = np.einsum("mij,mj,mkj->mik", vec, lam_cl, vec)
             covs = unwhiten(st, sig_star)
 
+        # a NaN blur never spills (norm > blur_cap is False for NaN), and
+        # the rasterizers skip its particle, so stop here
+        if not np.isfinite(blurs).all():
+            raise RuntimeError(f"step {step}: a particle blur is not finite")
+
         # spill oversized blur into center kicks (exact Gaussian split)
         if blur_cap is not None:
             norm = np.linalg.eigvalsh(whiten(blurs, sig_star))[:, 1]
@@ -322,7 +329,7 @@ def mixture_to_density_grid(ens: MixtureEnsemble, n: int, x_min: float,
     rho = _kernels.rasterize_density(x, ens.weights, ens.alphas,
                                      ens.total_covs(), ens.hbar)
     grid = DensityMatrixGrid(x, rho, ens.hbar)
-    if abs(grid.trace() - 1.0) > 1e-6:
+    if not abs(grid.trace() - 1.0) <= 1e-6:
         raise ValueError(f"grid trace {grid.trace():.8f}: grid does not "
                          "cover the mixture")
     return grid

@@ -47,6 +47,12 @@ class TestPhaseField:
         f = PhaseField(x, p, np.full((64, 64), 1e-9))
         with pytest.raises(ValueError, match="mass"):
             f.assert_probability()
+        # a NaN cell fails the checks, which a NaN comparison would pass
+        x, p = grid(32)
+        f = gaussian_phase_field([0.0, 0.0], 0.25 * np.eye(2), x, p)
+        f.values[3, 3] = np.nan
+        with pytest.raises(ValueError):
+            f.assert_probability()
 
 
 class TestL1Distance:

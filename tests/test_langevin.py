@@ -44,6 +44,34 @@ def gaussian_euler_maruyama(ens, model, diffusion, t_final, dt):
     return LangevinEnsemble(x, p, ens.seed, ens.steps_taken + n_steps)
 
 
+def langevin_reference(ens, model, diffusion, t_final, dt):
+    """The weak Euler step on the whole ensemble at once, unsliced."""
+    n_steps, dt, _ = step_schedule(t_final, dt)
+    x = ens.x.copy()
+    p = ens.p.copy()
+    m = x.size
+    sx = math.sqrt(diffusion.d_x * dt)
+    sp = math.sqrt(diffusion.d_p * dt)
+    kick = np.empty(m)
+    buf = np.empty(m)
+    for k in range(n_steps):
+        bits = stream_signs(ens.seed, LANGEVIN_STREAM,
+                            ens.steps_taken + 1 + k, 2 * m)
+        grad = np.asarray(model.potential.grad(x))
+        np.multiply(bits[:m], 2.0 * sx, out=kick)
+        kick -= sx
+        np.divide(p, model.mass, out=buf)
+        buf *= dt
+        buf += kick
+        x += buf
+        np.multiply(bits[m:], 2.0 * sp, out=kick)
+        kick -= sp
+        np.multiply(grad, -dt, out=buf)
+        buf += kick
+        p += buf
+    return LangevinEnsemble(x, p, ens.seed, ens.steps_taken + n_steps)
+
+
 def acceptance_eleven_well():
     """The double well of acceptance 11: hbar/s_H = 1e-3 and D0 three
     times the threshold for 0.3 at 5 tau_H."""
@@ -73,19 +101,34 @@ def test_stream_signs_bit_order_and_balance():
     assert abs((signs[:m] * signs[m:]).mean()) < 4 * se
 
 
+def test_slicing_is_bit_identical_to_the_whole_array_step():
+    # a partial last slice: M is not a multiple of BLOCK
+    well, diff, sc = acceptance_eleven_well()
+    m = 2 * langevin.BLOCK + 17
+    ens = sample_gaussian_ensemble([0.5, 0.0], sc.sigma_star, m, seed=19)
+    ens.steps_taken = 4
+    dt = sc.tau_H / 200.0
+    got = evolve_langevin_ensemble(ens, well, diff, 10 * dt, dt)
+    want = langevin_reference(ens, well, diff, 10 * dt, dt)
+    assert np.array_equal(got.x, want.x) and np.array_equal(got.p, want.p)
+    assert got.steps_taken == want.steps_taken == 14
+
+
 def test_increments_are_the_step_blocks_bits():
     # kicks of exactly +-sqrt(D dt): x from bits [0, M) and p from bits
-    # [M, 2M) of the (seed, LANGEVIN_STREAM, steps_taken + k) block
-    m, seed, dt = 100, 7, 0.25
+    # [M, 2M) of the (seed, LANGEVIN_STREAM, steps_taken + k) block, also
+    # across a slice edge
+    seed, dt = 7, 0.25
     diff = DiffusionSpec(1.0, 4.0, 1.0)
-    ens = LangevinEnsemble(np.zeros(m), np.zeros(m), seed, steps_taken=2)
-    one = evolve_langevin_ensemble(ens, FROZEN, diff, dt, dt)
-    assert set(np.abs(one.x)) == {0.5} and set(np.abs(one.p)) == {1.0}
-    out = evolve_langevin_ensemble(ens, FROZEN, diff, 3 * dt, dt)
-    signs = sum(2.0 * stream_signs(seed, LANGEVIN_STREAM, k, 2 * m) - 1.0
-                for k in (3, 4, 5))
-    assert np.allclose(out.x, 0.5 * signs[:m], rtol=0.0, atol=1e-9)
-    assert np.allclose(out.p, 1.0 * signs[m:], rtol=0.0, atol=1e-9)
+    for m in (100, langevin.BLOCK + 3):
+        ens = LangevinEnsemble(np.zeros(m), np.zeros(m), seed, steps_taken=2)
+        one = evolve_langevin_ensemble(ens, FROZEN, diff, dt, dt)
+        assert set(np.abs(one.x)) == {0.5} and set(np.abs(one.p)) == {1.0}
+        out = evolve_langevin_ensemble(ens, FROZEN, diff, 3 * dt, dt)
+        signs = sum(2.0 * stream_signs(seed, LANGEVIN_STREAM, k, 2 * m) - 1.0
+                    for k in (3, 4, 5))
+        assert np.allclose(out.x, 0.5 * signs[:m], rtol=0.0, atol=1e-9)
+        assert np.allclose(out.p, 1.0 * signs[m:], rtol=0.0, atol=1e-9)
 
 
 def test_weak_increments_keep_the_gaussian_law():
@@ -151,14 +194,15 @@ def test_harmonic_diffusion_covariance_oracle():
 
 
 def test_chunked_run_matches_single_shot():
-    ens = sample_gaussian_ensemble([0.0, 0.0], 0.2 * np.eye(2), 1000, seed=3)
     diff = DiffusionSpec(0.05, 0.05, 1.0)
-    once = evolve_langevin_ensemble(ens, HARMONIC, diff, 1.0, 0.01)
-    half = evolve_langevin_ensemble(ens, HARMONIC, diff, 0.5, 0.01)
-    full = evolve_langevin_ensemble(half, HARMONIC, diff, 0.5, 0.01)
-    assert np.array_equal(once.x, full.x)
-    assert np.array_equal(once.p, full.p)
-    assert once.steps_taken == full.steps_taken == 100
+    for m in (1000, langevin.BLOCK + 1000):
+        ens = sample_gaussian_ensemble([0.0, 0.0], 0.2 * np.eye(2), m, seed=3)
+        once = evolve_langevin_ensemble(ens, HARMONIC, diff, 1.0, 0.01)
+        half = evolve_langevin_ensemble(ens, HARMONIC, diff, 0.5, 0.01)
+        full = evolve_langevin_ensemble(half, HARMONIC, diff, 0.5, 0.01)
+        assert np.array_equal(once.x, full.x)
+        assert np.array_equal(once.p, full.p)
+        assert once.steps_taken == full.steps_taken == 100
 
 
 def test_histogram_mass_and_grid():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from phasemix import _kernels
+from phasemix import _kernels, mixture
 from phasemix.fokker_planck import l1_distance
 from phasemix.gaussian import (
     nts_eigenvalues,
@@ -348,6 +348,33 @@ class TestEvolveMixture:
             evolve_mixture(ens, WELL, DiffusionSpec(0.3, 0.5, 1.0), 0.01,
                            0.001)
 
+    def _nan_blur_run(self, ens):
+        evolve_mixture(ens, WELL, DiffusionSpec(0.3, 0.5, 1.0), 0.05, 0.001,
+                       blur_cap=0.05)
+
+    def test_nan_blur_refused(self):
+        sc = scales_for(WELL, 0.3, 0.5)
+        ens = coherent_ensemble([0.5, 0.0], sc, seed=0, particles=2)
+        ens.blurs[1] = np.nan
+        with pytest.raises(ValueError, match="blur is not finite"):
+            self._nan_blur_run(ens)
+
+    def test_blur_turning_nan_aborts_at_its_step(self, monkeypatch):
+        # particle 1's S_D turns NaN from the first stage of step 3 on
+        split, calls = mixture._batch_split_sdot, []
+
+        def poisoned(*args):
+            sz, sd, flow, f = split(*args)
+            calls.append(None)
+            if len(calls) > 8:
+                sd[1] = np.nan
+            return sz, sd, flow, f
+        monkeypatch.setattr(mixture, "_batch_split_sdot", poisoned)
+        sc = scales_for(WELL, 0.3, 0.5)
+        ens = coherent_ensemble([0.5, 0.0], sc, seed=0, particles=2)
+        with pytest.raises(RuntimeError, match="step 3: a particle blur"):
+            self._nan_blur_run(ens)
+
 
 class TestRasterization:
     def _two_particle_ensemble(self, sep=3.0):
@@ -392,6 +419,10 @@ class TestRasterization:
         ens = self._two_particle_ensemble(3.0)
         with pytest.raises(ValueError, match="cover"):
             mixture_to_density_grid(ens, 64, -2.0, 2.0)
+        # a NaN trace is refused too
+        ens.weights = np.array([0.5, np.nan])
+        with pytest.raises(ValueError, match="trace nan"):
+            mixture_to_density_grid(ens, 256, -10.0, 10.0)
 
 
 class TestCompactKernels:
