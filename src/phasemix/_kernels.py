@@ -21,15 +21,13 @@ step.
 
 The rasterizers add each Gaussian particle only on the index box of the
 ascending grid(s) that holds its envelope, where its term exceeds
-e^-ENVELOPE of its own peak.  Inside the box the term is the dense
-formula, to the bit; each term left out is below e^-36 ~ 2.3e-16 of that
-peak, so the result equals the dense sum to round-off.  A particle whose
-box is empty (off the grid) or whose weight is 0 adds nothing.  For the
-density matrix the envelope u^2/sxx + spp_c v^2/hbar^2 < 2 ENVELOPE, with
-u = (x_i + x_j)/2 - mx and v = x_i - x_j, puts both x_i and x_j within
-sqrt(2 ENVELOPE (sxx + hbar^2 / (4 spp_c))) of mx; in phase space
-q(dx, dp) < 2 ENVELOPE bounds |dx| by sqrt(2 ENVELOPE sxx) and |dp| by
-sqrt(2 ENVELOPE spp).
+e^-ENVELOPE ~ 2.3e-16 of its own peak, so the result equals the dense sum
+to round-off; an off-grid or weightless particle adds nothing.  The
+density-matrix envelope keeps the (u, v) form, u = (x_i + x_j)/2 - mx,
+v = x_i - x_j (in x_i, x_j monomials its terms cancel for a blurred
+particle), one real exp per entry; the phase (mp + u sxp/sxx) v / hbar =
+phi_i - phi_j enters as an outer product e e^H.  With `supersample` = k
+the phase raster averages each cell over k x k sub-samples in the kernel.
 """
 
 import functools
@@ -153,49 +151,63 @@ def diffuse(vals, rx, rp):
     vals[:, :] = idctn(coef, norm="ortho", overwrite_x=True)
 
 
-def _boxes(grid, centres, radii):
-    """Index ranges [lo, hi) of the ascending grid within centres +- radii."""
-    if np.any(grid[1:] <= grid[:-1]):
+def _boxes(grid, centres, radii, k=1):
+    """Cells [lo, hi) of the ascending grid with a sub-sample in centres +-
+    radii, and the offsets of k sub-samples h/k apart (uniform h if k > 1)."""
+    step = np.diff(grid)
+    if np.any(step <= 0.0):
         raise ValueError("raster grid must be strictly ascending")
-    return (np.searchsorted(grid, centres - radii, "left"),
-            np.searchsorted(grid, centres + radii, "right"))
+    if k < 1:
+        raise ValueError("supersample must be a positive integer")
+    h = (grid[-1] - grid[0]) / max(grid.size - 1, 1) if k > 1 else 0.0
+    if k > 1 and not (h > 0.0 and np.abs(step - h).max() <= 1e-9 * h):
+        raise ValueError("supersampling needs a uniform grid")
+    offs = h * ((np.arange(k) + 0.5) / k - 0.5)
+    return (np.searchsorted(grid, centres - radii - offs[-1], "left"),
+            np.searchsorted(grid, centres + radii + offs[-1], "right"), offs)
 
 
 def rasterize_density(x, weights, alphas, covs, hbar):
     """Density matrix rho[i, j] of the Gaussian mixture on the grid x."""
-    n = x.size
-    rho = np.zeros((n, n), dtype=np.complex128)
+    rho = np.zeros((x.size, x.size), dtype=np.complex128)
     sxx, sxp, spp = covs[:, 0, 0], covs[:, 0, 1], covs[:, 1, 1]
     spp_c = spp - sxp**2 / sxx
-    lo, hi = _boxes(x, alphas[:, 0], np.sqrt(
+    norm = np.sqrt(weights / np.sqrt(2.0 * np.pi * sxx))
+    lo, hi, _ = _boxes(x, alphas[:, 0], np.sqrt(
         2.0 * ENVELOPE * (sxx + hbar**2 / (4.0 * spp_c))))
     for k in np.flatnonzero((hi > lo) & (weights != 0.0)):
         box = slice(lo[k], hi[k])
-        xb = x[box]
         mx, mp = alphas[k]
-        u = 0.5 * (xb[:, None] + xb[None, :]) - mx
-        v = xb[:, None] - xb[None, :]
-        rho[box, box] += (weights[k] / np.sqrt(2.0 * np.pi * sxx[k])
-                          * np.exp(-u**2 / (2.0 * sxx[k])
-                                   - spp_c[k] * v**2 / (2.0 * hbar**2)
-                                   + 1j * (mp + (sxp[k] / sxx[k]) * u)
-                                   * v / hbar))
+        dxl = x[box].astype(np.longdouble) - mx     # X_i to 64 bits
+        dx = dxl.astype(float)
+        env = np.exp(-np.add.outer(dx, dx)**2 / (8.0 * sxx[k]) - spp_c[k]
+                     * np.subtract.outer(dx, dx)**2 / (2.0 * hbar**2))
+        # phi_i in long double, mod 2 pi: a double phi_i errs by eps |phi_i|
+        phi = np.remainder((mp + 0.5 * (sxp[k] / sxx[k]) * dxl) * dxl / hbar,
+                           2.0 * np.arccos(np.longdouble(-1.0)))
+        e = norm[k] * np.exp(1j * phi.astype(float))
+        rho[box, box] += env * np.multiply.outer(e, e.conj())
     return rho
 
 
-def rasterize_phase(x, p, weights, alphas, covs):
-    """Phase-space density vals[i, j] of the Gaussian mixture at
-    (x[i], p[j])."""
+def rasterize_phase(x, p, weights, alphas, covs, supersample=1):
+    """Phase-space density vals[i, j] of the Gaussian mixture at (x[i],
+    p[j]), or with `supersample` = k its mean over k x k cell sub-samples."""
+    k = int(supersample)
     vals = np.zeros((x.size, p.size))
     sxx, sxp, spp = covs[:, 0, 0], covs[:, 0, 1], covs[:, 1, 1]
-    xlo, xhi = _boxes(x, alphas[:, 0], np.sqrt(2.0 * ENVELOPE * sxx))
-    plo, phi = _boxes(p, alphas[:, 1], np.sqrt(2.0 * ENVELOPE * spp))
-    for k in np.flatnonzero((xhi > xlo) & (phi > plo) & (weights != 0.0)):
-        xb, pb = slice(xlo[k], xhi[k]), slice(plo[k], phi[k])
-        dx = (x[xb] - alphas[k, 0])[:, None]
-        dp = (p[pb] - alphas[k, 1])[None, :]
-        det = sxx[k] * spp[k] - sxp[k]**2
-        q = (spp[k] * dx**2 - 2.0 * sxp[k] * dx * dp + sxx[k] * dp**2) / det
-        vals[xb, pb] += (weights[k] / (2.0 * np.pi * np.sqrt(det))
-                         * np.exp(-0.5 * q))
+    det = sxx * spp - sxp**2
+    xlo, xhi, sx = _boxes(x, alphas[:, 0], np.sqrt(2.0 * ENVELOPE * sxx), k)
+    plo, phi, sp = _boxes(p, alphas[:, 1], np.sqrt(2.0 * ENVELOPE * spp), k)
+    for i in np.flatnonzero((xhi > xlo) & (phi > plo) & (weights != 0.0)):
+        xb, pb = slice(xlo[i], xhi[i]), slice(plo[i], phi[i])
+        # slab[a, b]: -q/2 + log(weight / (k^2 norm)) at sub-samples a, b
+        dx = (x[None, xb] + sx[:, None] - alphas[i, 0])[:, None, :, None]
+        dp = (p[None, pb] + sp[:, None] - alphas[i, 1])[None, :, None, :]
+        slab = dx * ((sxp[i] / det[i]) * dp)
+        slab += (-0.5 * spp[i] / det[i]) * dx**2
+        slab += (-0.5 * sxx[i] / det[i]) * dp**2 + np.log(
+            weights[i] / (2.0 * np.pi * np.sqrt(det[i]) * k**2))
+        np.exp(slab, out=slab)
+        vals[xb, pb] += slab.sum(axis=(0, 1))
     return vals

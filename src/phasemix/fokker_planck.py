@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import gaussian_pdf
+from .gaussian import GaussianState
 from .potentials import HamiltonianModel
 from .scales import DiffusionSpec, step_schedule
 from . import _kernels
@@ -93,11 +93,11 @@ class PhaseField:
 
 
 def gaussian_phase_field(mean, cov, x: np.ndarray, p: np.ndarray) -> PhaseField:
-    """Gaussian probability density sampled on the (x, p) grid."""
-    mean = np.asarray(mean, dtype=float)
-    beta = np.stack(np.meshgrid(x - mean[0], p - mean[1], indexing="ij"),
-                    axis=-1)
-    return PhaseField(x, p, gaussian_pdf(beta, np.asarray(cov, dtype=float)))
+    """Gaussian density on the ascending (x, p) grid, one particle of
+    `_kernels.rasterize_phase`; `cov` must be symmetric positive definite."""
+    g = GaussianState(mean, np.reshape(cov, (2, 2)))
+    return PhaseField(x, p, _kernels.rasterize_phase(
+        x, p, np.ones(1), g.mean[None], g.cov[None]))
 
 
 def l1_distance(f1: PhaseField, f2: PhaseField) -> float:

@@ -58,7 +58,7 @@ def sigma_star(a_H: float, hbar: float, d: int = 1) -> np.ndarray:
 
 def _check_symmetric(cov: np.ndarray) -> None:
     scale = max(np.abs(cov).max(), 1e-300)
-    if np.abs(cov - cov.T).max() > SYMMETRY_RTOL * scale * 10:
+    if not np.abs(cov - cov.T).max() <= SYMMETRY_RTOL * scale * 10:
         raise ValueError("covariance matrix is not symmetric")
 
 
@@ -80,7 +80,7 @@ class GaussianState:
         if self.hbar <= 0:
             raise ValueError("hbar must be positive")
         _check_symmetric(self.cov)
-        if np.linalg.eigvalsh(self.cov).min() <= 0:
+        if not np.linalg.eigvalsh(self.cov).min() > 0:
             raise ValueError("covariance must be positive definite")
 
     @property
@@ -237,9 +237,7 @@ def gaussian_derivative_residual(state: GaussianState, a: int, b: int,
     rng = np.random.default_rng(7)
     probes = rng.normal(size=(24, n)) * np.sqrt(np.diag(cov))
 
-    def tau(beta, sig):
-        return gaussian_pdf(beta, sig)
-
+    tau = gaussian_pdf
     ea = np.zeros(n)
     ea[a] = 1.0
     eb = np.zeros(n)

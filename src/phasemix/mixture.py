@@ -339,20 +339,10 @@ def mixture_to_phase_field(ens: MixtureEnsemble, x: np.ndarray,
                            p: np.ndarray, supersample: int = 1) -> PhaseField:
     """Rasterize the mixture as its phase-space (Wigner) density.
 
-    With `supersample` = k > 1 each cell value is the average over a
-    k x k stencil of interior sample points, i.e. the cell-average
-    representation a finite-volume field stores; use this when comparing
-    against `evolve_fokker_planck` output.  Requires uniform grids.
+    With `supersample` = k > 1 each cell value is the kernel's mean over
+    k x k interior sub-samples, the cell average a finite-volume field
+    stores (use it against `evolve_fokker_planck`); it needs uniform grids.
     """
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    k = int(supersample)
-    if k < 1:
-        raise ValueError("supersample must be a positive integer")
-    offs = (np.arange(k) + 0.5) / k - 0.5
-    xs = (x[:, None] + (x[1] - x[0]) * offs[None, :]).ravel()
-    ps = (p[:, None] + (p[1] - p[0]) * offs[None, :]).ravel()
-    fine = _kernels.rasterize_phase(xs, ps, ens.weights, ens.alphas,
-                                    ens.total_covs())
-    vals = fine.reshape(x.size, k, p.size, k).mean(axis=(1, 3))
-    return PhaseField(x, p, vals)
+    x, p = np.asarray(x, dtype=float), np.asarray(p, dtype=float)
+    return PhaseField(x, p, _kernels.rasterize_phase(
+        x, p, ens.weights, ens.alphas, ens.total_covs(), supersample))

@@ -11,6 +11,7 @@ from phasemix.fokker_planck import (
     gaussian_phase_field,
     l1_distance,
 )
+from phasemix.gaussian import gaussian_pdf
 from phasemix.potentials import HamiltonianModel, Harmonic, hamiltonian_matrix
 from phasemix.scales import DiffusionSpec
 
@@ -37,6 +38,26 @@ class TestPhaseField:
         mean, got = f.moments()
         assert np.allclose(mean, [0.4, -0.2], atol=1e-6)
         assert np.allclose(got, cov, rtol=1e-4, atol=1e-7)
+
+    def test_correlated_gaussian_matches_dense_pdf(self):
+        x = np.linspace(-3.0, 3.5, 150)
+        p = np.linspace(-2.5, 2.0, 120)
+        mean = np.array([0.4, -0.3])
+        cov = np.array([[0.5, 0.35], [0.35, 0.4]])
+        xx, pp = np.meshgrid(x - mean[0], p - mean[1], indexing="ij")
+        ref = gaussian_pdf(np.stack([xx, pp], axis=-1), cov)
+        got = gaussian_phase_field(mean, cov, x, p).values
+        assert np.abs(got - ref).max() <= 1e-14 * ref.max()
+
+    @pytest.mark.parametrize("cov", [[[1.0, 2.0], [2.0, 1.0]],
+                                     [[1.0, 1.0], [1.0, 1.0]],
+                                     [[-1.0, 0.0], [0.0, -1.0]],
+                                     [[1.0, 0.2], [0.1, 1.0]],
+                                     [[np.nan, 0.0], [0.0, 1.0]]])
+    def test_covariance_not_positive_definite_refused(self, cov):
+        x, p = grid(32)
+        with pytest.raises(ValueError, match="symmetric|positive definite"):
+            gaussian_phase_field([0.0, 0.0], cov, x, p)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -243,7 +264,6 @@ class TestSolver:
         # characteristics: f(x, p, t) = f0(x - p t / m, p)
         xx, pp = np.meshgrid(x, p, indexing="ij")
         shift = np.stack([xx - pp * t, pp], axis=-1)
-        from phasemix.gaussian import gaussian_pdf
         ref = PhaseField(x, p, gaussian_pdf(shift, 0.2 * np.eye(2)))
         assert l1_distance(ff, ref) < 0.01
 

@@ -88,6 +88,15 @@ def rasterize_phase_reference(x, p, weights, alphas, covs):
     return vals
 
 
+def supersampled_phase_reference(x, p, weights, alphas, covs, k):
+    """The dense formula on the k-refined grid, then the k x k cell mean."""
+    offs = (np.arange(k) + 0.5) / k - 0.5
+    xs = (x[:, None] + (x[1] - x[0]) * offs).ravel()
+    ps = (p[:, None] + (p[1] - p[0]) * offs).ravel()
+    fine = rasterize_phase_reference(xs, ps, weights, alphas, covs)
+    return fine.reshape(x.size, k, p.size, k).mean(axis=(1, 3))
+
+
 class TestEffectiveZ:
     def test_floor(self):
         sc = scales_for(WELL, 2.0, 30.0)
@@ -466,24 +475,59 @@ class TestCompactKernels:
         got = _kernels.rasterize_phase(x, p, *args)
         assert np.abs(got - ref).max() <= 1e-14 * ref.max()
 
-    def test_supersampled_phase_field_matches_dense_reference(
-            self, monkeypatch):
+    def test_supersampled_phase_field_matches_dense_reference(self):
         weights, alphas, covs = self.particles(4)
         sc = compute_scales(HARMONIC, DiffusionSpec(0.05, 0.05, self.HBAR))
         ens = MixtureEnsemble(weights, alphas, covs, np.zeros_like(covs),
                               sc.hbar, seed=0)
+        # particles 3-6 sit on the x edges, so their boxes are clipped
         x = np.linspace(-3.0, 3.0, 64, endpoint=False) + 3.0 / 64
         p = np.linspace(-2.0, 2.0, 48, endpoint=False) + 2.0 / 48
+        for k in (1, 2, 3, 5):
+            got = mixture_to_phase_field(ens, x, p, supersample=k).values
+            ref = supersampled_phase_reference(x, p, ens.weights, ens.alphas,
+                                               ens.total_covs(), k)
+            assert np.abs(got - ref).max() <= 1e-14 * ref.max()
         # k = 1 samples the cell centres themselves
         assert np.array_equal(
             mixture_to_phase_field(ens, x, p).values,
             _kernels.rasterize_phase(x, p, ens.weights, ens.alphas,
                                      ens.total_covs()))
-        got = mixture_to_phase_field(ens, x, p, supersample=3).values
-        monkeypatch.setattr(_kernels, "rasterize_phase",
-                            rasterize_phase_reference)
-        ref = mixture_to_phase_field(ens, x, p, supersample=3).values
-        assert np.abs(got - ref).max() <= 1e-14 * ref.max()
+
+    def test_supersample_below_one_refused(self):
+        weights, alphas, covs = self.particles(4)
+        x = np.linspace(-3.0, 3.0, 64)
+        for k in (0, -2):
+            with pytest.raises(ValueError, match="positive integer"):
+                _kernels.rasterize_phase(x, x, weights, alphas, covs,
+                                         supersample=k)
+
+    def test_supersampling_a_nonuniform_grid_refused(self):
+        weights, alphas, covs = self.particles(4)
+        x = np.linspace(-3.0, 3.0, 64)
+        sc = compute_scales(HARMONIC, DiffusionSpec(0.05, 0.05, self.HBAR))
+        ens = MixtureEnsemble(weights, alphas, covs, np.zeros_like(covs),
+                              sc.hbar, seed=0)
+        bent = x + 0.01 * x**2
+        with pytest.raises(ValueError, match="uniform"):
+            mixture_to_phase_field(ens, bent, x, supersample=3)
+        with pytest.raises(ValueError, match="uniform"):
+            mixture_to_phase_field(ens, x, bent, supersample=2)
+        # point samples need no cell width
+        mixture_to_phase_field(ens, bent, x)
+
+    def test_density_blurred_and_fast_particles_match_dense_reference(self):
+        x = np.linspace(-3.0, 3.0, 180, endpoint=False)
+        # total covariance [[sxx, sxp], [sxp, spp_c + sxp^2 / sxx]]
+        sxx, sxp, spp_c = 0.5, 0.3, 0.8
+        cov = np.array([[sxx, sxp], [sxp, spp_c + sxp**2 / sxx]])
+        assert spp_c * sxx / self.HBAR**2 == pytest.approx(1e3)
+        # a slow centre, then |p| = 40: phase ~ mp sqrt(sxx) / hbar ~ 1400
+        for centre in ([0.3, 0.4], [-0.5, -40.0]):
+            args = (np.ones(1), np.array([centre]), cov[None])
+            ref = rasterize_density_reference(x, *args, self.HBAR)
+            got = _kernels.rasterize_density(x, *args, self.HBAR)
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_off_grid_and_weightless_particles_add_exactly_zero(self):
         weights, alphas, covs = self.particles(5)
