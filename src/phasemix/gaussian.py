@@ -7,6 +7,7 @@ case its eigenvalues come in pairs (lam, (hbar/2)^2 / lam).
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,15 +223,21 @@ def gaussian_derivative_residual(state: GaussianState, a: int, b: int,
 
     Both sides are evaluated with central finite differences on a probe grid
     around the mean; the return value is the max absolute mismatch, which is
-    O(h^2) for valid h.  Warns (via ValueError on caller request) when h is
-    too large relative to the covariance.
+    O(h^2) for valid h.  Warns when h is large relative to the narrowest
+    covariance direction; raises ValueError when cov -+ h^2 dsigma is not
+    positive definite, where the right-hand side is undefined.
     """
     cov = state.cov
     n = cov.shape[0]
-    lam_min = np.linalg.eigvalsh(cov).min()
-    if h > 0.3 * np.sqrt(lam_min):
-        import warnings
-
+    hs = h**2  # step carries units of covariance
+    dsig = np.zeros((n, n))
+    dsig[a, b] += 1.0
+    dsig[b, a] += 1.0
+    if not min(np.linalg.eigvalsh(cov + hs * dsig).min(),
+               np.linalg.eigvalsh(cov - hs * dsig).min()) > 0.0:
+        raise ValueError(f"finite-difference step h = {h:g} leaves cov -+ "
+                         "h^2 dsigma not positive definite")
+    if h > 0.3 * np.sqrt(np.linalg.eigvalsh(cov).min()):
         warnings.warn("finite-difference step h is large relative to the "
                       "narrowest covariance direction; residual may not "
                       "shrink under h -> h/2")
@@ -258,10 +265,6 @@ def gaussian_derivative_residual(state: GaussianState, a: int, b: int,
     # together; by symmetry of the extension that directional derivative
     # equals 2 d/d sigma_ab for a != b and 2 d/d sigma_aa on the diagonal,
     # i.e. exactly the right-hand side of the identity in both cases.
-    hs = h**2  # step carries units of covariance
-    dsig = np.zeros((n, n))
-    dsig[a, b] += 1.0
-    dsig[b, a] += 1.0
     rhs = (tau(probes, cov + hs * dsig) - tau(probes, cov - hs * dsig)) / (2.0 * hs)
     return float(np.abs(lhs - rhs).max())
 

@@ -120,6 +120,26 @@ def edge_shift(vals, k):
     return vals[idx]
 
 
+def whole_run_reference(vals, speeds, h, dt):
+    """Advection along axis 0 one run of lines (equal shift and sign) at a
+    time: the edge shift in place, then `_muscl` on the whole run."""
+    out = vals.copy()
+    courant = speeds * (dt / h)
+    shift = np.trunc(courant)
+    frac = courant - shift
+    key = np.stack([shift, frac >= 0.0])
+    cuts = np.flatnonzero((key[:, 1:] != key[:, :-1]).any(axis=0)) + 1
+    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, speeds.size]):
+        run = out[:, lo:hi]
+        run[:] = edge_shift(run, int(shift[lo]))
+        c = frac[lo:hi]
+        if c.any():
+            left = bool(c[0] >= 0.0)
+            a = 0.5 * (1.0 - c) if left else -0.5 * (1.0 + c)
+            _kernels._muscl(run, c, a, left)
+    return out
+
+
 class TestKernels:
     def field(self, n=40, m=30):
         rng = np.random.default_rng(5)
@@ -159,6 +179,38 @@ class TestKernels:
             ref = muscl_reference(col, speeds[j:j + 1] - shift[j], 1.0, 1.0)
             assert np.abs(got[:, j] - ref[:, 0]).max() < 1e-15
         assert got.min() >= 0.0
+
+    def assert_blocked_equals_whole_run(self, n, speeds, widths):
+        """advect_x and advect_p on n-cell lines equal the whole-run loop
+        bit for bit; the first blocks hold `widths` lines."""
+        blocks = _kernels._courant_runs(speeds, 1.0, 1.0, n)
+        assert [sl.stop - sl.start for sl, *_ in blocks[:len(widths)]] \
+            == widths
+        v = self.field(n, speeds.size)
+        ref = whole_run_reference(v, speeds, 1.0, 1.0)
+        got = v.copy()
+        _kernels.advect_x(got, speeds, 1.0, 1.0)
+        assert np.array_equal(got, ref)
+        got = v.T.copy()
+        _kernels.advect_p(got, speeds, 1.0, 1.0)
+        assert np.array_equal(got.T, ref)
+
+    def test_blocked_advection_equals_whole_run_loop(self):
+        # runs longer than a block of 8 lines, a partial last block, a run
+        # at rest, zero speeds inside a moving run, |Courant| up to 3.7,
+        # integer shifts and shifts of at least the line length
+        n = _kernels.BLOCK // 8
+        ramp = np.where(np.arange(12) % 3 == 0, 0.0, np.linspace(0.1, 0.9, 12))
+        speeds = np.concatenate([
+            np.linspace(-3.7, -3.1, 19), np.zeros(10),
+            np.linspace(-0.9, -0.1, 12), ramp, np.full(9, 2.0),
+            np.linspace(3.05, 3.7, 11), [n + 0.5, -n - 0.5, n, 0.25]])
+        self.assert_blocked_equals_whole_run(n, speeds, [8, 8, 3])
+
+    def test_lines_longer_than_a_block_advect_one_at_a_time(self):
+        speeds = np.array([-3.7, 0.0, 0.0, 1.5, 2.0, 1e5 + 0.5, -0.25])
+        self.assert_blocked_equals_whole_run(_kernels.BLOCK + 5, speeds,
+                                             [1] * 7)
 
     def test_diffuse_is_the_neumann_heat_flow(self):
         n, m, rx, rp = 6, 5, 0.7, 2.3

@@ -163,9 +163,20 @@ class TestDerivativeIdentity:
         assert r_ab == pytest.approx(r_ba, rel=1e-8)
 
     def test_large_h_warns(self):
+        # h > 0.3 sqrt(lam_min) = 0.003, but cov -+ h^2 dsigma stays
+        # positive definite (1e-4 - 2 h^2 = 5e-5), so the residual is finite
         state = GaussianState(np.zeros(2), 1e-4 * np.eye(2))
-        with pytest.warns(UserWarning):
-            gaussian_derivative_residual(state, 0, 0, 0.1)
+        with pytest.warns(UserWarning, match="large"):
+            r = gaussian_derivative_residual(state, 0, 0, 0.005)
+        assert np.isfinite(r)
+
+    def test_h_beyond_positive_definite_refused(self):
+        # cov - h^2 dsigma is indefinite: 1e-4 - 2e-2 on the diagonal entry,
+        # eigenvalues 1e-4 -+ 1e-2 on the off-diagonal one
+        state = GaussianState(np.zeros(2), 1e-4 * np.eye(2))
+        for a, b in ((0, 0), (0, 1)):
+            with pytest.raises(ValueError, match="h = 0.1"):
+                gaussian_derivative_residual(state, a, b, 0.1)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

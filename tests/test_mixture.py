@@ -494,6 +494,25 @@ class TestCompactKernels:
             _kernels.rasterize_phase(x, p, ens.weights, ens.alphas,
                                      ens.total_covs()))
 
+    def test_row_blocked_phase_raster_matches_dense_and_one_block(
+            self, monkeypatch):
+        weights, alphas, covs = self.particles(7, m=12)
+        covs = covs + 0.15 * np.eye(2)     # boxes span most of the grid
+        x = np.linspace(-3.0, 3.0, 360, endpoint=False) + 3.0 / 360
+        p = np.linspace(-2.0, 2.5, 240, endpoint=False) + 2.25 / 240
+        assert x.size > _kernels.BLOCK // p.size     # > 1 row block at k = 1
+        blocked = {}
+        for k in (1, 3):
+            got = _kernels.rasterize_phase(x, p, weights, alphas, covs,
+                                           supersample=k)
+            ref = supersampled_phase_reference(x, p, weights, alphas, covs, k)
+            assert np.abs(got - ref).max() <= 1e-14 * ref.max()
+            blocked[k] = got
+        monkeypatch.setattr(_kernels, "BLOCK", 9 * x.size * p.size)
+        for k in (1, 3):
+            assert np.array_equal(blocked[k], _kernels.rasterize_phase(
+                x, p, weights, alphas, covs, supersample=k))
+
     def test_supersample_below_one_refused(self):
         weights, alphas, covs = self.particles(4)
         x = np.linspace(-3.0, 3.0, 64)
