@@ -3,9 +3,12 @@
 Each subcommand reads an experiment config (INI), which sets every
 experiment value; the only flags besides --config are --seed, which
 replaces [flags] seed, and --out, the output directory.  It runs the
-requested solver or report, prints a text summary, and writes CSV files
-with fixed column orders into the output directory.  Identical config and
-seed produce byte-identical outputs.
+requested report, or one solver leg of `harness.Experiment`, prints a
+text summary, and writes CSV files with fixed column orders into the
+output directory.  The `evolve-*` subcommands share one function, driven
+by the table `EVOLVE`: each runs its leg and writes the moments of every
+snapshot, plus that solver's own columns.  Identical config and seed
+produce byte-identical outputs.
 """
 
 import argparse
@@ -17,16 +20,11 @@ import sys
 import numpy as np
 
 from .config import load_config
-from .fokker_planck import evolve_fokker_planck
 from .gaussian import nts_eigenvalues
 from .harmonic_error import harmonic_error_report
 from .harness import (Experiment, emit_plots, run_breakdown_demo,
                       run_comparison, write_csv)
-from .langevin import evolve_langevin_ensemble, sample_gaussian_ensemble
-from .lindblad import evolve_lindblad
-from .mixture import evolve_mixture
-from .scales import (ehrenfest_time, physical_example_time, step_schedule,
-                     theorem_epsilon)
+from .scales import ehrenfest_time, physical_example_time, theorem_epsilon
 
 __all__ = ["main"]
 
@@ -59,18 +57,6 @@ def _save(out, name, header, rows):
     print(f"wrote {path}")
 
 
-def _moment_rows(snapshots):
-    rows = []
-    for t, state in snapshots:
-        mean, cov = state.moments()
-        rows.append((float(t), float(mean[0]), float(mean[1]),
-                     float(cov[0, 0]), float(cov[0, 1]), float(cov[1, 1])))
-    return rows
-
-
-_MOMENT_HEADER = ["time", "mean_x", "mean_p", "cov_xx", "cov_xp", "cov_pp"]
-
-
 def cmd_scales(args):
     cfg = _load(args)
     rep = Experiment.from_config(cfg).scales
@@ -89,69 +75,35 @@ def cmd_scales(args):
     return 0
 
 
-def cmd_evolve_quantum(args):
+# subcommand -> (Experiment leg, CSV name, {extra column: value of a
+# snapshot state under the experiment})
+EVOLVE = {
+    "evolve-quantum": ("quantum", "quantum.csv", {
+        "purity": lambda exp, g: float(g.purity())}),
+    "evolve-classical": ("classical", "classical.csv", {
+        "mass": lambda exp, f: float(f.mass())}),
+    "evolve-langevin": ("langevin", "langevin.csv", {}),
+    "evolve-mixture": ("mixture", "mixture.csv", {
+        "max_squeeze": lambda exp, ens: float(
+            nts_eigenvalues(ens.covs, exp.scales.sigma_star).max()),
+        "spill_count": lambda exp, ens: int(
+            ens.diagnostics.get("spill_count", 0))}),
+}
+
+
+def cmd_evolve(args):
+    leg, name, extra = EVOLVE[args.command]
     cfg = _load(args)
     exp = Experiment.from_config(cfg)
-    traj = evolve_lindblad(exp.rho0(), exp.model, exp.diffusion, cfg.t_final,
-                           exp.dt_quantum, snapshot_times=exp.snapshot_times,
-                           edge_tol=cfg.edge_tol)
-    rows = [r + (float(g.purity()),)
-            for r, (_, g) in zip(_moment_rows(traj), traj)]
-    _save(_out_dir(cfg), "quantum.csv", _MOMENT_HEADER + ["purity"], rows)
-    return 0
-
-
-def cmd_evolve_classical(args):
-    cfg = _load(args)
-    exp = Experiment.from_config(cfg)
-    traj = evolve_fokker_planck(exp.f0(), exp.model, exp.diffusion,
-                                cfg.t_final, exp.dt_classical,
-                                snapshot_times=exp.snapshot_times)
-    rows = [r + (float(f.mass()),)
-            for r, (_, f) in zip(_moment_rows(traj), traj)]
-    _save(_out_dir(cfg), "classical.csv", _MOMENT_HEADER + ["mass"], rows)
-    return 0
-
-
-def cmd_evolve_langevin(args):
-    cfg = _load(args)
-    exp = Experiment.from_config(cfg)
-    ens = sample_gaussian_ensemble([cfg.x0, cfg.p0], exp.scales.sigma_star,
-                                   cfg.samples, cfg.seed)
-    _, dt, steps = step_schedule(cfg.t_final, exp.dt_langevin,
-                                 exp.snapshot_times)
-    traj = [(0.0, ens)]
-    done = 0
-    for k in sorted(steps):
-        ens = evolve_langevin_ensemble(ens, exp.model, exp.diffusion,
-                                       (k - done) * dt, dt)
-        traj.append((k * dt, ens))
-        done = k
-    _save(_out_dir(cfg), "langevin.csv", _MOMENT_HEADER, _moment_rows(traj))
-    return 0
-
-
-def cmd_evolve_mixture(args):
-    cfg = _load(args)
-    exp = Experiment.from_config(cfg)
-    traj = evolve_mixture(exp.mixture0(), exp.model, exp.diffusion,
-                          cfg.t_final, exp.dt_mixture, z_cap=cfg.z_cap,
-                          blur_cap=cfg.blur_cap,
-                          snapshot_times=exp.snapshot_times)
     rows = []
-    for t, ens in traj:
-        w = ens.weights
-        mean = w @ ens.alphas
-        dev = ens.alphas - mean
-        cov = (np.einsum("m,mij->ij", w, ens.total_covs())
-               + np.einsum("m,mi,mj->ij", w, dev, dev))
+    for t, state in getattr(exp, leg)():
+        mean, cov = state.moments()
         rows.append((float(t), float(mean[0]), float(mean[1]),
-                     float(cov[0, 0]), float(cov[0, 1]), float(cov[1, 1]),
-                     float(nts_eigenvalues(ens.covs,
-                                           exp.scales.sigma_star).max()),
-                     int(ens.diagnostics.get("spill_count", 0))))
-    _save(_out_dir(cfg), "mixture.csv",
-          _MOMENT_HEADER + ["max_squeeze", "spill_count"], rows)
+                     float(cov[0, 0]), float(cov[0, 1]), float(cov[1, 1]))
+                    + tuple(value(exp, state) for value in extra.values()))
+    _save(_out_dir(cfg), name,
+          ["time", "mean_x", "mean_p", "cov_xx", "cov_xp", "cov_pp",
+           *extra], rows)
     return 0
 
 
@@ -228,10 +180,7 @@ def cmd_physical_example(args):
 
 COMMANDS = {
     "scales": cmd_scales,
-    "evolve-quantum": cmd_evolve_quantum,
-    "evolve-classical": cmd_evolve_classical,
-    "evolve-langevin": cmd_evolve_langevin,
-    "evolve-mixture": cmd_evolve_mixture,
+    **dict.fromkeys(EVOLVE, cmd_evolve),
     "harmonic-error": cmd_harmonic_error,
     "compare": cmd_compare,
     "breakdown-demo": cmd_breakdown_demo,

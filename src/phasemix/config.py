@@ -43,9 +43,6 @@ class ExperimentConfig:
     t_final: float
     # the Lindblad step; unset, tau_H/100
     dt_quantum: Optional[float] = None
-    # the step of both classical solvers; unset, Fokker-Planck takes
-    # tau_H/100 and evolve-langevin tau_H/200
-    dt_classical: Optional[float] = None
     n_grid: int = 256
     n_phase: int = 128
     p_min: Optional[float] = None
@@ -73,10 +70,8 @@ class ExperimentConfig:
             raise ValueError("[diffusion] hbar must be positive")
         if self.t_final <= 0:
             raise ValueError("[numerics] t_final must be positive")
-        for name in ("dt_quantum", "dt_classical"):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ValueError(f"[numerics] {name} must be positive")
+        if self.dt_quantum is not None and self.dt_quantum <= 0:
+            raise ValueError("[numerics] dt_quantum must be positive")
         if self.n_grid < 16 or self.n_phase < 16:
             raise ValueError("[numerics] grids need at least 16 points")
         if (self.p_min is None) != (self.p_max is None):
@@ -84,9 +79,12 @@ class ExperimentConfig:
                              "together")
         if self.p_min is not None and self.p_min >= self.p_max:
             raise ValueError("[numerics] p_min must be below p_max")
-        if self.particles < 1 or self.samples < 1 or self.snapshots < 1:
-            raise ValueError("[numerics] particles, samples, and snapshots "
-                             "must be at least 1")
+        if self.particles < 1 or self.snapshots < 1:
+            raise ValueError("[numerics] particles and snapshots must be at "
+                             "least 1")
+        # the Langevin moments take the sample covariance (ddof = 1)
+        if self.samples < 2:
+            raise ValueError("[numerics] samples must be at least 2")
         if self.edge_tol <= 0:
             raise ValueError("[numerics] edge_tol must be positive")
         if self.z_cap is not None and self.z_cap <= 1.0:
@@ -124,9 +122,8 @@ _SECTIONS = {
     "model": ("potential", "params", "mass", "x_min", "x_max"),
     "diffusion": ("d_x", "d_p", "hbar"),
     "initial": ("x0", "p0"),
-    "numerics": ("t_final", "dt_quantum", "dt_classical", "n_grid",
-                 "n_phase", "p_min", "p_max", "particles", "samples",
-                 "snapshots", "edge_tol"),
+    "numerics": ("t_final", "dt_quantum", "n_grid", "n_phase", "p_min",
+                 "p_max", "particles", "samples", "snapshots", "edge_tol"),
     "flags": ("seed", "z_cap", "blur_cap", "effective_diffusion", "margin",
               "out"),
 }
@@ -158,6 +155,14 @@ def parse_config(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ValueError(f"config syntax error: {exc}") from None
 
+    # unknown names first: a misspelt section must not read as a missing one
+    for section in parser.sections():
+        if section not in _SECTIONS:
+            raise ValueError(f"[{section}]: unknown section")
+        options = [_OPTION.get(n, n) for n in _SECTIONS[section]]
+        for option in parser.options(section):
+            if option not in options:
+                raise ValueError(f"[{section}] {option}: unknown option")
     kwargs = {}
     for section, names in _SECTIONS.items():
         for name in names:
@@ -169,13 +174,6 @@ def parse_config(text: str) -> ExperimentConfig:
             elif f.default is MISSING:
                 raise ValueError(f"[{section}] {option}: required option "
                                  "missing")
-    for section in parser.sections():
-        if section not in _SECTIONS:
-            raise ValueError(f"[{section}]: unknown section")
-        options = [_OPTION.get(n, n) for n in _SECTIONS[section]]
-        for option in parser.options(section):
-            if option not in options:
-                raise ValueError(f"[{section}] {option}: unknown option")
     return ExperimentConfig(**kwargs)
 
 

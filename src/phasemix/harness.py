@@ -1,15 +1,16 @@
 """Experiment orchestration: run the three dynamics side by side.
 
 `Experiment.from_config` builds the setup every run shares (model,
-diffusion, scales, snapshot times, step sizes, phase grid); the harness
-and the CLI both start from it.  `run_comparison` evolves the same initial
-coherent state three ways — the grid master-equation solver, the
-phase-space Fokker-Planck solver, and the Gaussian-mixture trajectory —
-and compares the mixture to both references against the error budget
-epsilon(t) at the same snapshot times.  `run_breakdown_demo` contrasts a
-noiseless run with a diffusive run of the same model and records Wigner
-negativity.  `emit_plots` writes deterministic CSV/summary/plot-script
-artifacts for either report.
+diffusion, scales, snapshot times, Lindblad step, phase grid), and its
+legs `quantum`, `classical`, `mixture` and `langevin` are the only places
+that call a solver with it; the harness and the CLI both run them.
+`run_comparison` evolves the same initial coherent state three ways — the
+grid master-equation solver, the phase-space Fokker-Planck solver, and the
+Gaussian-mixture trajectory — and compares the mixture to both references
+against the error budget epsilon(t) at the same snapshot times.
+`run_breakdown_demo` contrasts a noiseless run with a diffusive run of the
+same model and records Wigner negativity.  `emit_plots` writes
+deterministic CSV/summary/plot-script artifacts for either report.
 """
 
 import os
@@ -22,6 +23,7 @@ from .config import ExperimentConfig
 from .fokker_planck import (PhaseField, evolve_fokker_planck,
                             gaussian_phase_field, l1_distance)
 from .gaussian import GaussianState, nts_eigenvalues
+from .langevin import evolve_langevin_ensemble, sample_gaussian_ensemble
 from .lindblad import (DensityMatrixGrid, evolve_lindblad, gaussian_to_grid,
                        trace_distance, wigner_transform_grid)
 from .mixture import (MixtureEnsemble, coherent_ensemble, effective_z,
@@ -29,7 +31,7 @@ from .mixture import (MixtureEnsemble, coherent_ensemble, effective_z,
                       mixture_to_phase_field)
 from .potentials import HamiltonianModel
 from .scales import (DiffusionSpec, ScaleReport, budget_z, compute_scales,
-                     ehrenfest_time, theorem_epsilon)
+                     ehrenfest_time, step_schedule, theorem_epsilon)
 
 __all__ = ["Experiment", "ComparisonReport", "BreakdownReport",
            "run_comparison", "run_breakdown_demo", "write_csv", "emit_plots"]
@@ -79,13 +81,18 @@ class BreakdownReport:
 class Experiment:
     """One experiment's shared setup, built once from its config.
 
-    Holds the model, diffusion, scales, snapshot times, the step size each
-    solver is asked for (`dt_quantum`; `dt_classical` for Fokker-Planck and
-    `dt_langevin` for `evolve-langevin`, both set by `[numerics]
-    dt_classical`; `dt_mixture`, always tau_H/200) and the phase-grid
-    cell centres `x`, `p`.  The initial states are built only on request:
-    they are N x N arrays.  `mixture0` is a state and accepts any
-    diffusion; the mixture run refuses a D0 = 0 config without `z_cap`.
+    Holds the model, diffusion, scales, snapshot times, the Lindblad step
+    `dt_quantum` (`[numerics] dt_quantum`, default tau_H/100) and the
+    phase-grid cell centres `x`, `p`.  The initial states are built only
+    on request: they are N x N arrays.  `mixture0` is a state and accepts
+    any diffusion; the mixture run refuses a D0 = 0 config without `z_cap`.
+
+    Each leg runs one solver on this setup and returns [(t, state)] at
+    t = 0 and at every snapshot time: `quantum` (Lindblad at `dt_quantum`,
+    under `diffusion` if given), `classical` (Fokker-Planck at tau_H/100),
+    `mixture` (at tau_H/200) and `langevin` (`[numerics] samples`
+    particles at tau_H/200).  Each step is the one asked of
+    `step_schedule`, which may shorten it to land on the snapshots.
     """
 
     cfg: ExperimentConfig
@@ -94,9 +101,6 @@ class Experiment:
     scales: ScaleReport
     snapshot_times: List[float]
     dt_quantum: float
-    dt_classical: float
-    dt_langevin: float
-    dt_mixture: float
     x: np.ndarray
     p: np.ndarray
 
@@ -120,10 +124,7 @@ class Experiment:
             lo, hi = -p_half, p_half
         p = lo + (hi - lo) * (np.arange(cfg.n_phase) + 0.5) / cfg.n_phase
         return cls(cfg, model, diffusion, scales, snaps,
-                   cfg.dt_quantum or scales.tau_H / 100.0,
-                   cfg.dt_classical or scales.tau_H / 100.0,
-                   cfg.dt_classical or scales.tau_H / 200.0,
-                   scales.tau_H / 200.0, x, p)
+                   cfg.dt_quantum or scales.tau_H / 100.0, x, p)
 
     def rho0(self) -> DensityMatrixGrid:
         cfg = self.cfg
@@ -140,24 +141,55 @@ class Experiment:
         return coherent_ensemble([cfg.x0, cfg.p0], self.scales, cfg.seed,
                                  cfg.particles)
 
+    def quantum(self, diffusion: Optional[DiffusionSpec] = None):
+        return evolve_lindblad(self.rho0(), self.model,
+                               diffusion or self.diffusion, self.cfg.t_final,
+                               self.dt_quantum,
+                               snapshot_times=self.snapshot_times,
+                               edge_tol=self.cfg.edge_tol)
+
+    def classical(self):
+        return evolve_fokker_planck(self.f0(), self.model, self.diffusion,
+                                    self.cfg.t_final,
+                                    self.scales.tau_H / 100.0,
+                                    snapshot_times=self.snapshot_times)
+
+    def mixture(self):
+        cfg = self.cfg
+        return evolve_mixture(self.mixture0(), self.model, self.diffusion,
+                              cfg.t_final, self.scales.tau_H / 200.0,
+                              z_cap=cfg.z_cap, blur_cap=cfg.blur_cap,
+                              snapshot_times=self.snapshot_times)
+
+    def langevin(self):
+        # the solver takes no snapshot times: run it from one to the next
+        cfg = self.cfg
+        ens = sample_gaussian_ensemble([cfg.x0, cfg.p0],
+                                       self.scales.sigma_star, cfg.samples,
+                                       cfg.seed)
+        _, dt, steps = step_schedule(cfg.t_final, self.scales.tau_H / 200.0,
+                                     self.snapshot_times)
+        traj = [(0.0, ens)]
+        done = 0
+        for k in sorted(steps):
+            ens = evolve_langevin_ensemble(ens, self.model, self.diffusion,
+                                           (k - done) * dt, dt)
+            traj.append((k * dt, ens))
+            done = k
+        return traj
+
 
 def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
     """Evolve quantum / classical / mixture and compare against epsilon(t)."""
     exp = Experiment.from_config(cfg)
-    scales, snaps = exp.scales, exp.snapshot_times
+    scales = exp.scales
     # the mixture's window; refuses D0 = 0 without a cap before any solver
     z_mixture = effective_z(scales, cfg.z_cap)
     bound_applicable = not scales.harmonic and not scales.z_infinite
 
-    q_traj = evolve_lindblad(exp.rho0(), exp.model, exp.diffusion,
-                             cfg.t_final, exp.dt_quantum,
-                             snapshot_times=snaps, edge_tol=cfg.edge_tol)
-    c_traj = evolve_fokker_planck(exp.f0(), exp.model, exp.diffusion,
-                                  cfg.t_final, exp.dt_classical,
-                                  snapshot_times=snaps)
-    m_traj = evolve_mixture(exp.mixture0(), exp.model, exp.diffusion,
-                            cfg.t_final, exp.dt_mixture, z_cap=cfg.z_cap,
-                            blur_cap=cfg.blur_cap, snapshot_times=snaps)
+    q_traj = exp.quantum()
+    c_traj = exp.classical()
+    m_traj = exp.mixture()
 
     times, tds, l1s, epss, passes = [], [], [], [], []
     max_squeeze = 0.0
@@ -208,14 +240,8 @@ def run_breakdown_demo(cfg: ExperimentConfig) -> BreakdownReport:
     Ehrenfest time, while sufficient diffusion suppresses it throughout.
     """
     exp = Experiment.from_config(cfg)
-    rho0 = exp.rho0()
-    free = evolve_lindblad(rho0, exp.model,
-                           DiffusionSpec(0.0, 0.0, cfg.hbar), cfg.t_final,
-                           exp.dt_quantum, snapshot_times=exp.snapshot_times,
-                           edge_tol=cfg.edge_tol)
-    noisy = evolve_lindblad(rho0, exp.model, exp.diffusion, cfg.t_final,
-                            exp.dt_quantum, snapshot_times=exp.snapshot_times,
-                            edge_tol=cfg.edge_tol)
+    free = exp.quantum(DiffusionSpec(0.0, 0.0, cfg.hbar))
+    noisy = exp.quantum()
 
     times, f_min, f_peak, d_min, d_peak = [], [], [], [], []
     for (t, gf), (_, gn) in zip(free, noisy):

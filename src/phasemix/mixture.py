@@ -166,6 +166,16 @@ class MixtureEnsemble:
     def total_covs(self) -> np.ndarray:
         return self.covs + self.blurs
 
+    def moments(self):
+        """Mean (x, p) and 2x2 covariance of the mixture: the weighted
+        total covariances plus the spread of the centres."""
+        w = self.weights
+        mean = w @ self.alphas
+        dev = self.alphas - mean
+        cov = (np.einsum("m,mij->ij", w, self.total_covs())
+               + np.einsum("m,mi,mj->ij", w, dev, dev))
+        return mean, cov
+
     def validate(self, sigma_star: np.ndarray, z: float):
         """Refuse bad weights, a non-finite blur, an impure particle or one
         outside the squeeze window [1/z, z] around sigma_star."""

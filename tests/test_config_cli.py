@@ -7,6 +7,7 @@ import pytest
 from phasemix import harness
 from phasemix.cli import main
 from phasemix.config import (ExperimentConfig, parse_config, serialize_config)
+from phasemix.fokker_planck import MASS_TOL
 from phasemix.harness import (emit_plots, run_breakdown_demo, run_comparison,
                               ComparisonReport)
 from phasemix.mixture import coherent_ensemble
@@ -86,6 +87,13 @@ class TestConfig:
         (lambda s: s.replace("params = 1.0\n", ""), "[model] params"),
         (lambda s: s.replace("[flags]", "dt_mixture = 0.01\n\n[flags]"),
          "[numerics] dt_mixture: unknown option"),
+        (lambda s: s.replace("[flags]", "dt_classical = 0.01\n\n[flags]"),
+         "[numerics] dt_classical: unknown option"),
+        (lambda s: s.replace("[flags]", "samples = 1\n\n[flags]"),
+         "[numerics] samples must be at least 2"),
+        # a misspelt section is unknown, not a missing [numerics] t_final
+        (lambda s: s.replace("[numerics]", "[numeric]"),
+         "[numeric]: unknown section"),
     ])
     def test_anchored_errors(self, mangle, fragment):
         with pytest.raises(ValueError, match=re.escape(fragment)):
@@ -129,10 +137,10 @@ class TestHarness:
         assert "z_mixture: 3.0\n" in summary
 
     def test_solvers_compared_at_the_same_times(self, monkeypatch):
-        # a Fokker-Planck step of t_final / 109 is an odd step count, so
-        # the snapshot at t_final / 2 does not fall on it
+        # a Lindblad step of t_final / 109 is an odd step count, so the
+        # snapshot at t_final / 2 does not fall on it
         cfg = parse_config(HARMONIC_INI.replace(
-            "n_phase = 64", f"n_phase = 128\ndt_classical = {1.0 / 109!r}"))
+            "n_phase = 64", f"n_phase = 128\ndt_quantum = {1.0 / 109!r}"))
         seen = {}
 
         def spy(name):
@@ -147,13 +155,11 @@ class TestHarness:
         spy("evolve_lindblad")
         spy("evolve_fokker_planck")
         rep = run_comparison(cfg)
-        dt_fp = seen["evolve_fokker_planck"][0]
-        assert round(cfg.t_final / dt_fp) % cfg.snapshots != 0
+        dt_q = seen["evolve_lindblad"][0]
+        assert round(cfg.t_final / dt_q) % cfg.snapshots != 0
         assert rep.times == pytest.approx([0.5, 1.0], rel=1e-12)
         for _, times in seen.values():
             assert times == pytest.approx(rep.times, rel=1e-9)
-        # the key sets the evolve-langevin step as well
-        assert harness.Experiment.from_config(cfg).dt_langevin == dt_fp
 
     def test_mixture0_is_the_coherent_ensemble(self):
         cfg = parse_config(HARMONIC_INI.replace("particles = 1",
@@ -243,18 +249,34 @@ class TestCLI:
 
     def test_evolve_subcommands_write_moments(self, tmp_path):
         cfg = write_cfg(tmp_path)
-        for sub, fname in (("evolve-quantum", "quantum.csv"),
-                           ("evolve-classical", "classical.csv"),
-                           ("evolve-langevin", "langevin.csv"),
-                           ("evolve-mixture", "mixture.csv")):
-            assert self.run(sub, "--config", cfg, "--out",
-                            str(tmp_path)) == 0
-            lines = (tmp_path / fname).read_text().splitlines()
-            assert lines[0].startswith("time,mean_x,mean_p,cov_xx")
-            assert len(lines) == 4  # t=0 plus two snapshots... plus header
+        z_cap = parse_config(HARMONIC_INI).z_cap
+        valid = {"purity": lambda v: float(v) <= 1.0 + 1e-12,
+                 "mass": lambda v: abs(float(v) - 1.0) <= MASS_TOL,
+                 "max_squeeze": lambda v: float(v) <= z_cap,
+                 "spill_count": lambda v: str(int(v)) == v}
+        for sub, fname, extra in (
+                ("evolve-quantum", "quantum.csv", ["purity"]),
+                ("evolve-classical", "classical.csv", ["mass"]),
+                ("evolve-langevin", "langevin.csv", []),
+                ("evolve-mixture", "mixture.csv",
+                 ["max_squeeze", "spill_count"])):
+            runs = []
+            for out in (tmp_path / "a", tmp_path / "b"):
+                assert self.run(sub, "--config", cfg, "--out",
+                                str(out)) == 0
+                runs.append((out / fname).read_bytes())
+            assert runs[0] == runs[1]
+            lines = runs[0].decode().splitlines()
+            assert lines[0].split(",") == ["time", "mean_x", "mean_p",
+                                           "cov_xx", "cov_xp", "cov_pp",
+                                           *extra]
+            assert len(lines) == 4  # header, t = 0 and two snapshots
             # means of all solvers agree loosely (same dynamics)
             last = lines[-1].split(",")
             assert abs(float(last[1]) - np.cos(1.0)) < 0.05
+            for line in lines[1:]:
+                for col, v in zip(extra, line.split(",")[6:]):
+                    assert valid[col](v), (sub, col, v)
 
     def test_harmonic_error_csv(self, tmp_path):
         text = HARMONIC_INI.replace("potential = harmonic",

@@ -621,3 +621,31 @@ class TestValidation:
         assert not ens.blurs.any()
         assert ens.hbar == sc.hbar
         ens.validate(sc.sigma_star, effective_z(sc, z_cap=2.0))
+
+
+class TestMoments:
+    def test_one_particle_is_its_own_gaussian(self):
+        cov = random_pure_cov(1, 1.0, 1.0, np.random.default_rng(5))
+        blur = np.array([[0.03, 0.01], [0.01, 0.02]])
+        ens = MixtureEnsemble(np.ones(1), np.array([[0.7, -0.2]]), cov[None],
+                              blur[None], hbar=1.0, seed=0)
+        mean, total = ens.moments()
+        assert np.array_equal(mean, [0.7, -0.2])
+        assert np.array_equal(total, cov + blur)
+
+    def test_two_particles_law_of_total_covariance(self):
+        rng = np.random.default_rng(6)
+        w = np.array([0.3, 0.7])
+        alphas = np.array([[0.7, -0.2], [-1.1, 0.4]])
+        covs = np.stack([random_pure_cov(1, 1.0, 1.0, rng) for _ in w])
+        blurs = np.stack([0.02 * np.eye(2), np.diag([0.01, 0.05])])
+        ens = MixtureEnsemble(w, alphas, covs, blurs, hbar=1.0, seed=0)
+        mean, cov = ens.moments()
+        # Cov = E[Cov | particle] + Cov(E[x | particle]); the centres are
+        # two points, whose covariance is w1 w2 (a1 - a2)(a1 - a2)^T
+        d = alphas[0] - alphas[1]
+        within = w[0] * (covs[0] + blurs[0]) + w[1] * (covs[1] + blurs[1])
+        assert np.allclose(mean, w[0] * alphas[0] + w[1] * alphas[1],
+                           rtol=0.0, atol=1e-15)
+        assert np.allclose(cov, within + w[0] * w[1] * np.outer(d, d),
+                           rtol=0.0, atol=1e-14)
