@@ -57,9 +57,10 @@ def _courant_runs(speeds, h, dt, n):
 
     Returns a tuple of (lines, shift, c, a, upwind_left): a slice of up
     to max(BLOCK // n, 1) lines of length n, their common integer shift,
-    their fractional Courant numbers c (all of one sign; None when the
-    whole run of equal shift and sign is at rest), the slope weight
+    their fractional Courant numbers c (all of one sign), the slope weight
     a = +-(1 -+ c)/2 and whether the upwind cell lies on the left (c >= 0).
+    A line at rest (c = 0) takes the same MUSCL update, which leaves a
+    finite line unchanged bit for bit.
     """
     return _split_courant(np.asarray(speeds, dtype=float).tobytes(),
                           float(h), float(dt), max(BLOCK // n, 1))
@@ -75,14 +76,13 @@ def _split_courant(speeds, h, dt, width):
     cuts = np.flatnonzero((key[:, 1:] != key[:, :-1]).any(axis=0)) + 1
     blocks = []
     for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, courant.size]):
-        moving = frac[lo:hi].any()
         left = bool(frac[lo] >= 0.0)
         for start in range(lo, hi, width):
             c = frac[start:min(start + width, hi)]
             a = 0.5 * (1.0 - c) if left else -0.5 * (1.0 + c)
             a.flags.writeable = False
             blocks.append((slice(start, start + c.size), int(shift[lo]),
-                           c if moving else None, a, left))
+                           c, a, left))
     return tuple(blocks)
 
 
@@ -127,11 +127,8 @@ def _muscl(b, c, a, left):
 def _advect(lines, n, speeds, h, dt):
     # lines(sl): view of the lines sl, advected axis (length n) first
     for sl, k, c, a, left in _courant_runs(speeds, h, dt, n):
-        if not k and c is None:
-            continue
         b = _gather(lines(sl), k)
-        if c is not None:
-            _muscl(b, c, a, left)
+        _muscl(b, c, a, left)
         lines(sl)[...] = b
 
 

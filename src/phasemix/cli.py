@@ -1,14 +1,15 @@
 """Command-line front end.
 
-Each subcommand reads an experiment config (INI), which sets every
-experiment value; the only flags besides --config are --seed, which
-replaces [flags] seed, and --out, the output directory.  It runs the
+Each subcommand but `physical-example` reads an experiment config (INI),
+which sets every experiment value; the only flags besides --config are
+--seed, which replaces [flags] seed, and --out, the output directory.
+`physical-example` takes only --out.  A subcommand runs the
 requested report, or one solver leg of `harness.Experiment`, prints a
 text summary, and writes CSV files with fixed column orders into the
 output directory.  The `evolve-*` subcommands share one function, driven
 by the table `EVOLVE`: each runs its leg and writes the moments of every
-snapshot, plus that solver's own columns.  Identical config and seed
-produce byte-identical outputs.
+snapshot, plus that solver's own columns.  Identical config, seed and
+BLAS thread count produce byte-identical outputs.
 """
 
 import argparse
@@ -31,11 +32,10 @@ __all__ = ["main"]
 HBAR_SI = 1.054571817e-34
 
 
-def _add_common(p, needs_config=True):
-    p.add_argument("--config", required=needs_config,
+def _add_common(p):
+    p.add_argument("--config", required=True,
                    help="experiment config file (INI)")
     p.add_argument("--seed", type=int, help="override [flags] seed")
-    p.add_argument("--out", help="output directory (default: config or .)")
 
 
 def _load(args):
@@ -168,12 +168,8 @@ def cmd_physical_example(args):
     ]
     for name, v in rows:
         print(f"{name:>40s}  {v:.4g} s")
-    out = "."
-    if getattr(args, "config", None):
-        out = _out_dir(_load(args))
-    elif getattr(args, "out", None):
-        out = args.out
-        os.makedirs(out, exist_ok=True)
+    out = args.out or "."
+    os.makedirs(out, exist_ok=True)
     _save(out, "physical_example.csv", ["quantity", "seconds"], rows)
     return 0
 
@@ -195,8 +191,11 @@ def main(argv=None):
                     "Gaussian-mixture dynamics.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        _add_common(sub.add_parser(name),
-                    needs_config=name != "physical-example")
+        p = sub.add_parser(name)
+        if name != "physical-example":
+            _add_common(p)
+        p.add_argument("--out",
+                       help="output directory (default: config or .)")
     args = parser.parse_args(argv)
     return COMMANDS[args.command](args)
 

@@ -6,7 +6,6 @@ belongs to a pure Gaussian state iff (2/hbar)*sigma is symplectic, in which
 case its eigenvalues come in pairs (lam, (hbar/2)^2 / lam).
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -18,7 +17,6 @@ __all__ = [
     "GaussianState",
     "is_pure_gaussian",
     "purity_defect",
-    "gaussian_wavefunction",
     "whiten",
     "unwhiten",
     "window_excess",
@@ -102,19 +100,6 @@ def purity_defect(cov: np.ndarray, hbar: float) -> float:
 def is_pure_gaussian(cov: np.ndarray, hbar: float) -> bool:
     """True iff cov is the covariance of a pure Gaussian state."""
     return purity_defect(cov, hbar) <= PURITY_TOL
-
-
-def gaussian_wavefunction(x: np.ndarray, mean, cov, hbar: float) -> np.ndarray:
-    """Pure Gaussian wavefunction on the uniform grid x (d = 1).
-
-    Its position variance is cov[0, 0] and its position-momentum
-    correlation cov[0, 1]; it is normalized to sum(|psi|^2) dx = 1.
-    """
-    u = x - mean[0]
-    psi = np.exp(-u**2 * (1.0 - 2.0j * cov[0, 1] / hbar) / (4.0 * cov[0, 0])
-                 + 1j * mean[1] * u / hbar)
-    psi /= math.sqrt(float((np.abs(psi) ** 2).sum() * (x[1] - x[0])))
-    return psi
 
 
 def whiten(mat: np.ndarray, sig_star: np.ndarray) -> np.ndarray:

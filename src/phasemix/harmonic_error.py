@@ -14,7 +14,9 @@ constant mu = sqrt(3) d^(3/2) J3 ||sigma_xx||^(3/2) / hbar dominates both
 (it equals the classical constant and exceeds the quantum one).  This
 module computes the bounds for any dimension and, for d = 1, also
 evaluates the residual generators explicitly on grids so that the bounds
-can be checked numerically.
+can be checked numerically.  The Gaussian tau on those grids comes from
+the pipeline's own rasters: `_kernels.rasterize_density` for the density
+matrix and `_kernels.rasterize_phase` for the phase-space density.
 """
 
 import math
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import gaussian_pdf, gaussian_wavefunction
+from . import _kernels
 from .potentials import HamiltonianModel, harmonic_expansion
 
 __all__ = [
@@ -78,8 +80,9 @@ def numeric_harmonic_error_quantum(alpha, sigma, model: HamiltonianModel,
     """Trace norm of the residual generator on a pure Gaussian (d = 1).
 
     Builds dV = V - V_quad on the position grid, forms the commutator term
-    -(i/hbar) [dV, tau] for the pure Gaussian tau, and returns the sum of
-    the absolute eigenvalues (trace norm with the grid measure).
+    -(i/hbar) [dV, tau] for the Gaussian tau rasterized by
+    `_kernels.rasterize_density`, and returns the sum of the absolute
+    eigenvalues (trace norm with the grid measure).
     """
     alpha = np.asarray(alpha, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
@@ -91,8 +94,8 @@ def numeric_harmonic_error_quantum(alpha, sigma, model: HamiltonianModel,
 
     quad = harmonic_expansion(model, alpha[0])
     dv = model.potential.value(x) - quad(x)
-    psi = gaussian_wavefunction(x, alpha, sigma, hbar)
-    tau = np.outer(psi, psi.conj())
+    tau = _kernels.rasterize_density(x, np.ones(1), alpha[None], sigma[None],
+                                     hbar)
     comm = (-1j / hbar) * (dv[:, None] - dv[None, :]) * tau
     return float(np.abs(np.linalg.eigvalsh(comm * dx)).sum())
 
@@ -113,11 +116,9 @@ def numeric_harmonic_error_classical(alpha, sigma, model: HamiltonianModel,
     _check_coverage(alpha[0], math.sqrt(sigma[0, 0]), x[0], x[-1], "x")
     _check_coverage(alpha[1], math.sqrt(sigma[1, 1]), p[0], p[-1], "p")
 
-    beta = np.stack(np.meshgrid(x - alpha[0], p - alpha[1], indexing="ij"),
-                    axis=-1)
-    tau = gaussian_pdf(beta, sigma)
+    tau = _kernels.rasterize_phase(x, p, np.ones(1), alpha[None], sigma[None])
     inv = np.linalg.inv(sigma)
-    lever_p = beta @ inv[1]
+    lever_p = inv[1, 0] * (x - alpha[0])[:, None] + inv[1, 1] * (p - alpha[1])
     dv_grad = _residual_gradient(model, alpha[0], x)
     integrand = tau * lever_p * dv_grad[:, None]
     cell = (x[1] - x[0]) * (p[1] - p[0])

@@ -57,8 +57,8 @@ class ComparisonReport:
     passes: List[bool]
     max_squeeze: float
     diagnostics: dict
-    z_budget: Optional[float] = None
-    z_mixture: Optional[float] = None
+    z_budget: float
+    z_mixture: float
 
     @property
     def passed(self) -> bool:
@@ -202,8 +202,7 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
             raise RuntimeError("solver snapshot times disagree")
     for (t, ens), (_, g_q), (_, f_c) in zip(m_traj[1:], q_traj[1:],
                                             c_traj[1:]):
-        grid_m = mixture_to_density_grid(ens, cfg.n_grid, cfg.x_min,
-                                         cfg.x_max)
+        grid_m = mixture_to_density_grid(ens, g_q.x)
         # cell-averaged raster: the finite-volume reference stores cell
         # averages, so point sampling would add a spurious O(dx^2) term
         field_m = mixture_to_phase_field(ens, exp.x, exp.p, supersample=3)

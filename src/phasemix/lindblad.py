@@ -28,6 +28,8 @@ with no index flip at run time.
 
 A `DensityMatrixGrid` is a state only: the kinetic mass comes from the
 `HamiltonianModel`, and the grid's hbar must match the `DiffusionSpec`'s.
+`gaussian_to_grid` builds the initial state with `_kernels.rasterize_density`,
+the same evaluator that rasterizes the Gaussian mixture.
 
 Without diffusion (D_x = D_p = 0) a rank-1 rho = psi psi^+ stays rank-1.
 When rho0 is rank-1 to round-off (psi, taken from the column of the
@@ -55,8 +57,9 @@ import numpy as np
 import scipy.fft as sfft
 from scipy.linalg.lapack import zpotrf
 
+from . import _kernels
 from .fokker_planck import PhaseField
-from .gaussian import GaussianState, gaussian_wavefunction, is_pure_gaussian
+from .gaussian import GaussianState, is_pure_gaussian
 from .potentials import HamiltonianModel
 from .scales import DiffusionSpec, step_schedule
 
@@ -193,9 +196,13 @@ class DensityMatrixGrid:
 
 def gaussian_to_grid(state: GaussianState, n: int, x_min: float,
                      x_max: float) -> DensityMatrixGrid:
-    """Pure Gaussian wavefunction realized as a rank-1 grid density matrix.
+    """Pure Gaussian state as a rank-1 density matrix on the n-point grid
+    x_min + (x_max - x_min) i / n.
 
-    The covariance must satisfy the purity relation
+    It is the one-particle, unit-weight call of the mixture's density
+    raster, so a one-particle mixture rasterized on this grid equals it
+    bit for bit; its trace is 1 to round-off for a covered state.  The
+    covariance must satisfy the purity relation
     s_pp = (hbar^2/4 + s_xp^2) / s_xx; the grid must cover the mean by at
     least six position standard deviations on each side.
     """
@@ -208,8 +215,9 @@ def gaussian_to_grid(state: GaussianState, n: int, x_min: float,
         raise ValueError("grid too small: must cover the mean +- 6 position "
                          "standard deviations")
     x = x_min + (x_max - x_min) * np.arange(n) / n
-    psi = gaussian_wavefunction(x, state.mean, state.cov, state.hbar)
-    return DensityMatrixGrid(x, np.outer(psi, psi.conj()), state.hbar)
+    return DensityMatrixGrid(x, _kernels.rasterize_density(
+        x, np.ones(1), state.mean[None], state.cov[None], state.hbar),
+        state.hbar)
 
 
 def _position_factor(grid: DensityMatrixGrid, model: HamiltonianModel,

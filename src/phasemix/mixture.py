@@ -332,10 +332,13 @@ def evolve_mixture(ens: MixtureEnsemble, model: HamiltonianModel,
     return out
 
 
-def mixture_to_density_grid(ens: MixtureEnsemble, n: int, x_min: float,
-                            x_max: float) -> DensityMatrixGrid:
-    """Rasterize the mixture as a density matrix on a position grid."""
-    x = x_min + (x_max - x_min) * np.arange(n) / n
+def mixture_to_density_grid(ens: MixtureEnsemble,
+                            x: np.ndarray) -> DensityMatrixGrid:
+    """Rasterize the mixture as a density matrix on the position grid x.
+
+    Pass the reference's own `DensityMatrixGrid.x`, so that the two
+    states share one grid array; `trace_distance` refuses any other.
+    """
     rho = _kernels.rasterize_density(x, ens.weights, ens.alphas,
                                      ens.total_covs(), ens.hbar)
     grid = DensityMatrixGrid(x, rho, ens.hbar)

@@ -207,7 +207,7 @@ class HamiltonianModel:
 
     mass: float
     potential: Potential
-    domain: tuple = (-1.0, 1.0)
+    domain: tuple
     sup2: float = field(init=False)
     sup3: float = field(init=False)
 

@@ -10,7 +10,8 @@ from phasemix.config import (ExperimentConfig, parse_config, serialize_config)
 from phasemix.fokker_planck import MASS_TOL
 from phasemix.harness import (emit_plots, run_breakdown_demo, run_comparison,
                               ComparisonReport)
-from phasemix.mixture import coherent_ensemble
+from phasemix.lindblad import trace_distance
+from phasemix.mixture import coherent_ensemble, mixture_to_density_grid
 from phasemix.scales import compute_scales
 
 HARMONIC_INI = """
@@ -173,6 +174,16 @@ class TestHarness:
             assert np.array_equal(getattr(ens, name), getattr(ref, name))
         assert (ens.hbar, ens.seed) == (ref.hbar, ref.seed)
 
+    def test_one_particle_raster_is_rho0(self):
+        # rho0 is the one-particle call of the mixture's density raster
+        cfg = parse_config(HARMONIC_INI)
+        exp = harness.Experiment.from_config(cfg)
+        rho0 = exp.rho0()
+        ens = coherent_ensemble([cfg.x0, cfg.p0], exp.scales, cfg.seed)
+        grid = mixture_to_density_grid(ens, rho0.x)
+        assert np.array_equal(grid.rho, rho0.rho)
+        assert trace_distance(grid, rho0) == 0.0
+
     def test_zero_diffusion_without_cap_rejected(self):
         text = HARMONIC_INI.replace("d_x = 0.05", "d_x = 0.0") \
                            .replace("d_p = 0.05", "d_p = 0.0") \
@@ -197,7 +208,8 @@ class TestHarness:
                                  bound_applicable=False, times=[],
                                  trace_distances=[], l1_distances=[],
                                  epsilons=[], passes=[], max_squeeze=0.0,
-                                 diagnostics={})
+                                 diagnostics={}, z_budget=sc.z,
+                                 z_mixture=3.0)
         emit_plots(empty, str(tmp_path / "e"))
         lines = (tmp_path / "e" / "comparison.csv").read_text().splitlines()
         assert len(lines) == 1 and lines[0].startswith("time,")
@@ -205,7 +217,7 @@ class TestHarness:
                                times=[1.0], trace_distances=[0.1],
                                l1_distances=[0.2], epsilons=[0.0],
                                passes=[False], max_squeeze=1.0,
-                               diagnostics={})
+                               diagnostics={}, z_budget=sc.z, z_mixture=3.0)
         emit_plots(one, str(tmp_path / "o"))
         lines = (tmp_path / "o" / "comparison.csv").read_text().splitlines()
         assert len(lines) == 2
@@ -308,6 +320,10 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "dust_grain_validity_time" in out
         assert (tmp_path / "physical_example.csv").exists()
+        # it reads no config, so it takes no --config or --seed
+        for extra in (["--seed", "3"], ["--config", write_cfg(tmp_path)]):
+            with pytest.raises(SystemExit, match="2"):  # argparse usage
+                self.run("physical-example", *extra)
 
     def test_ini_values_have_no_flags(self, tmp_path):
         cfg = write_cfg(tmp_path)

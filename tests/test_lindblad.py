@@ -27,6 +27,21 @@ HARMONIC = HamiltonianModel(1.0, Harmonic(1.0), (-12.0, 12.0))
 NO_DIFF = DiffusionSpec(0.0, 0.0, 1.0)
 
 
+def wavefunction_reference(x, mean, cov, hbar):
+    """psi psi^+ of the pure Gaussian on the uniform grid x, with psi
+    normalized on the grid to sum(|psi|^2) dx = 1."""
+    u = x - mean[0]
+    psi = np.exp(-u**2 * (1.0 - 2.0j * cov[0, 1] / hbar) / (4.0 * cov[0, 0])
+                 + 1j * mean[1] * u / hbar)
+    psi /= np.sqrt((np.abs(psi) ** 2).sum() * (x[1] - x[0]))
+    return np.outer(psi, psi.conj())
+
+
+def assert_matches_wavefunction(g, mean, cov):
+    ref = wavefunction_reference(g.x, mean, cov, g.hbar)
+    assert np.abs(g.rho - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 def coherent_grid(mean=(0.0, 0.0), n=256, box=12.0, a_H=1.0, hbar=1.0):
     st = GaussianState(np.asarray(mean, float), sigma_star(a_H, hbar), hbar)
     return gaussian_to_grid(st, n, -box, box)
@@ -59,6 +74,19 @@ class TestGaussianToGrid:
                              256, -12.0, 12.0)
         _, gcov = g.moments()
         assert gcov[0, 1] == pytest.approx(0.3, rel=5e-3)
+
+    def test_correlated_state_matches_wavefunction(self):
+        cov = np.array([[0.8, -0.35], [-0.35, (0.25 + 0.35**2) / 0.8]])
+        st = GaussianState([0.7, 1.9], cov, 1.0)
+        assert_matches_wavefunction(gaussian_to_grid(st, 256, -12.0, 12.0),
+                                    st.mean, st.cov)
+
+    @pytest.mark.parametrize("name", ["harmonic_exact", "well_budget",
+                                      "well_breakdown"])
+    def test_benchmark_rho0_matches_wavefunction(self, name):
+        exp = benchmark_experiment(name)
+        assert_matches_wavefunction(exp.rho0(), [exp.cfg.x0, exp.cfg.p0],
+                                    exp.scales.sigma_star)
 
     def test_rank_one(self):
         g = coherent_grid()
@@ -536,13 +564,14 @@ def assert_matches_reference(traj, ref):
         assert np.abs(g.rho - r).max() <= 1e-12
 
 
-def well_breakdown_experiment():
+def benchmark_experiment(name):
+    """The experiment of a perfbench workload at its default seed."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
     spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
     return Experiment.from_config(
-        parse_config(inputs.make_ini("well_breakdown", 11)))
+        parse_config(inputs.make_ini(name, inputs.default_seed(name))))
 
 
 class TestPathsMatchReference:
@@ -556,7 +585,7 @@ class TestPathsMatchReference:
             evolve_density_reference(*args, snapshot_times=snaps))
 
     def test_wavefunction_path_well_breakdown(self):
-        exp = well_breakdown_experiment()
+        exp = benchmark_experiment("well_breakdown")
         cfg = exp.cfg
         args = (exp.rho0(), exp.model, DiffusionSpec(0.0, 0.0, cfg.hbar),
                 cfg.t_final, exp.dt_quantum)
@@ -565,6 +594,11 @@ class TestPathsMatchReference:
         assert_matches_reference(
             traj, evolve_density_reference(
                 *args, snapshot_times=exp.snapshot_times))
+
+    def test_raster_rho0_takes_the_wavefunction_path(self):
+        exp = benchmark_experiment("well_breakdown")
+        noiseless = DiffusionSpec(0.0, 0.0, exp.cfg.hbar)
+        assert lindblad._pure_column(exp.rho0(), noiseless) is not None
 
     def test_fft2_density_step_with_diffusion(self):
         g0 = coherent_grid(mean=(1.0, -0.5))

@@ -43,6 +43,11 @@ HARMONIC = HamiltonianModel(1.0, Harmonic(1.0), (-12.0, 12.0))
 WELL = HamiltonianModel(1.0, DoubleWell(0.25, 1.0), (-3.0, 3.0))
 
 
+def position_grid(n, x_min, x_max):
+    """The n-point grid of `gaussian_to_grid`."""
+    return x_min + (x_max - x_min) * np.arange(n) / n
+
+
 def scales_for(model, d_x, d_p, hbar=1.0):
     return compute_scales(model, DiffusionSpec(d_x, d_p, hbar))
 
@@ -275,7 +280,7 @@ class TestEvolveMixture:
         st = GaussianState([1.0, 0.0], sc.sigma_star, 1.0)
         g0 = gaussian_to_grid(st, 256, -12.0, 12.0)
         _, gq = evolve_lindblad(g0, HARMONIC, diff, t, 0.005)[-1]
-        gm = mixture_to_density_grid(eT, 256, -12.0, 12.0)
+        gm = mixture_to_density_grid(eT, gq.x)
         assert trace_distance(gq, gm) < 1e-3
 
     def test_strong_diffusion_pins_covariance(self):
@@ -398,27 +403,27 @@ class TestRasterization:
         diff = DiffusionSpec(0.05, 0.05, 1.0)
         sc = compute_scales(HARMONIC, diff)
         ens = coherent_ensemble([0.4, -0.1], sc, seed=0)
-        g = mixture_to_density_grid(ens, 256, -10.0, 10.0)
+        g = mixture_to_density_grid(ens, position_grid(256, -10.0, 10.0))
         assert g.trace() == pytest.approx(1.0, abs=1e-6)
         assert g.purity() == pytest.approx(1.0, abs=1e-6)
 
     def test_two_orthogonalish_particles_purity_half(self):
         ens = self._two_particle_ensemble(6.0)
-        g = mixture_to_density_grid(ens, 256, -10.0, 10.0)
+        g = mixture_to_density_grid(ens, position_grid(256, -10.0, 10.0))
         assert g.purity() == pytest.approx(0.5, abs=1e-4)
 
     def test_degenerate_weight_equals_single(self):
         ens = self._two_particle_ensemble(3.0)
         ens.weights = np.array([1.0, 0.0])
-        g = mixture_to_density_grid(ens, 256, -10.0, 10.0)
+        g = mixture_to_density_grid(ens, position_grid(256, -10.0, 10.0))
         sc = scales_for(HARMONIC, 0.05, 0.05)
         solo = coherent_ensemble([-1.5, 0.0], sc, seed=0)
-        gs = mixture_to_density_grid(solo, 256, -10.0, 10.0)
+        gs = mixture_to_density_grid(solo, position_grid(256, -10.0, 10.0))
         assert np.abs(g.rho - gs.rho).max() < 1e-12
 
     def test_phase_field_mass_and_wigner_consistency(self):
         ens = self._two_particle_ensemble(3.0)
-        g = mixture_to_density_grid(ens, 256, -10.0, 10.0)
+        g = mixture_to_density_grid(ens, position_grid(256, -10.0, 10.0))
         w = wigner_transform_grid(g)
         direct = mixture_to_phase_field(ens, w.x, w.p)
         assert direct.mass() == pytest.approx(1.0, abs=1e-6)
@@ -427,11 +432,11 @@ class TestRasterization:
     def test_grid_coverage_failure(self):
         ens = self._two_particle_ensemble(3.0)
         with pytest.raises(ValueError, match="cover"):
-            mixture_to_density_grid(ens, 64, -2.0, 2.0)
+            mixture_to_density_grid(ens, position_grid(64, -2.0, 2.0))
         # a NaN trace is refused too
         ens.weights = np.array([0.5, np.nan])
         with pytest.raises(ValueError, match="trace nan"):
-            mixture_to_density_grid(ens, 256, -10.0, 10.0)
+            mixture_to_density_grid(ens, position_grid(256, -10.0, 10.0))
 
 
 class TestCompactKernels:

@@ -153,3 +153,6 @@ def test_model_invariants():
         HamiltonianModel(-1.0, Harmonic(1.0), (-1, 1))
     with pytest.raises(ValueError):
         HamiltonianModel(1.0, Harmonic(1.0), (1, -1))
+    # the domain sets the sup norms, so it has no default
+    with pytest.raises(TypeError, match="domain"):
+        HamiltonianModel(1.0, Harmonic(1.0))
