@@ -1,4 +1,4 @@
-"""Experiment configuration: INI parsing, validation, and round-tripping.
+"""Experiment configuration: INI parsing and validation.
 
 A configuration fully describes one experiment: the model ([model]), the
 noise ([diffusion]), the initial coherent state ([initial]), the solver
@@ -6,20 +6,19 @@ grids and step sizes ([numerics]), and run flags ([flags]).  Each option
 is declared once, as an `ExperimentConfig` field: its annotation sets how
 the INI text is read, and a field without a default is a required option.
 Parsing either produces a fully validated `ExperimentConfig` or raises a
-ValueError naming the section and option at fault; serializing and
-re-parsing is a fixpoint.
+ValueError naming the section and option at fault; a float that is not
+finite (nan, inf) is refused as it is read.
 """
 
 import configparser
-import io
+import math
 from dataclasses import MISSING, dataclass, fields
 from typing import Optional, Tuple, Union, get_args, get_origin
 
 from .potentials import HamiltonianModel, make_potential
 from .scales import DiffusionSpec
 
-__all__ = ["ExperimentConfig", "parse_config", "load_config",
-           "serialize_config"]
+__all__ = ["ExperimentConfig", "parse_config", "load_config"]
 
 
 @dataclass
@@ -141,11 +140,17 @@ def _convert(section, option, raw, kind):
         if kind is bool:
             return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         if get_origin(kind) is tuple:
-            return tuple(float(v) for v in raw.replace(",", " ").split())
-        return kind(raw)
+            value = tuple(float(v) for v in raw.replace(",", " ").split())
+        else:
+            value = kind(raw)
     except (KeyError, ValueError):
         raise ValueError(f"[{section}] {option}: cannot parse {raw!r} as "
                          f"{getattr(kind, '__name__', kind)}") from None
+    values = value if isinstance(value, tuple) else (value,)
+    # float() also reads nan and inf, which no option may hold
+    if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+        raise ValueError(f"[{section}] {option}: {raw!r} is not finite")
+    return value
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -181,25 +186,3 @@ def load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
 
-
-def _format(value):
-    if value is None:
-        return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return ", ".join(repr(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    out = io.StringIO()
-    for section, names in _SECTIONS.items():
-        out.write(f"[{section}]\n")
-        for name in names:
-            out.write(f"{_OPTION.get(name, name)} = "
-                      f"{_format(getattr(cfg, name))}\n")
-        out.write("\n")
-    return out.getvalue()

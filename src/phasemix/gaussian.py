@@ -20,7 +20,6 @@ __all__ = [
     "whiten",
     "unwhiten",
     "window_excess",
-    "nts_check",
     "nts_eigenvalues",
     "covariance_eigen_pairs",
     "gaussian_moment",
@@ -34,8 +33,9 @@ __all__ = [
 ]
 
 SYMMETRY_RTOL = 1e-12   # |cov - cov^T| may reach 10x this of max |cov|
-PURITY_TOL = 1e-8       # largest purity_defect of a pure covariance
-NTS_TOL = 1e-9          # nts_check's slack, absolute on the eigenvalues
+# largest purity_defect of a pure covariance; the only purity tolerance
+# (`MixtureEnsemble.validate` holds its d = 1 determinant defect to it)
+PURITY_TOL = 1e-8
 
 
 def symplectic_form(d: int) -> np.ndarray:
@@ -123,19 +123,10 @@ def nts_eigenvalues(cov: np.ndarray, sig_star: np.ndarray) -> np.ndarray:
 
 def window_excess(lam: np.ndarray, z: float) -> float:
     """How far whitened eigenvalues lam leave the squeeze window [1/z, z]:
-    max(max lam - z, 1/z - min lam, 0)."""
+    max(max lam - z, 1/z - min lam, 0).  The one squeeze-window test is
+    `window_excess(nts_eigenvalues(cov, sigma_star), z) <= WINDOW_TOL`
+    (`mixture`)."""
     return max(float(lam.max() - z), float(1.0 / z - lam.min()), 0.0)
-
-
-def nts_check(cov: np.ndarray, sig_star: np.ndarray, z: float) -> bool:
-    """Not-too-squeezed test: z^-1 sigma* <= cov <= z sigma*.
-
-    Tested via the spectrum of the whitened matrix, which is basis
-    independent; `NTS_TOL` is absolute on the eigenvalues.
-    """
-    if z < 1.0:
-        raise ValueError("squeeze bound z must be >= 1")
-    return window_excess(nts_eigenvalues(cov, sig_star), z) <= NTS_TOL
 
 
 def covariance_eigen_pairs(cov: np.ndarray, hbar: float,

@@ -99,7 +99,7 @@ class DensityMatrixGrid:
         self.rho = np.asarray(self.rho, dtype=complex)
         if self.rho.shape != (self.x.size, self.x.size):
             raise ValueError("rho must be N x N for an N-point grid")
-        if self.hbar <= 0:
+        if not self.hbar > 0:
             raise ValueError("hbar must be positive")
 
     @property

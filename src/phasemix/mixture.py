@@ -34,7 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fokker_planck import PhaseField
-from .gaussian import nts_eigenvalues, unwhiten, whiten, window_excess
+from .gaussian import (PURITY_TOL, nts_eigenvalues, unwhiten, whiten,
+                       window_excess)
 from .lindblad import DensityMatrixGrid
 from .potentials import HamiltonianModel, hamiltonian_matrix
 from .rng import stream_normals
@@ -58,8 +59,8 @@ Z_FLOOR = 1.05
 # a spilled blur may have a negative eigenvalue down to this (relative)
 # round-off; below it the blur is broken and the spill aborts
 NOISE_ABORT_BELOW = -1e-9
-WINDOW_TOL = 1e-6       # squeeze eigenvalues may pass the window by this
-DET_TOL = 1e-8          # validate: det(sigma) / (hbar/2)^2 may miss 1 by this
+# squeeze eigenvalues may pass the window by this; the only window tolerance
+WINDOW_TOL = 1e-6
 
 
 def effective_z(scales: ScaleReport, z_cap=None):
@@ -111,7 +112,7 @@ def split_sdot(alpha, sigma, model: HamiltonianModel,
     invariant; S_D is positive semidefinite on the window.
     """
     sigma = np.asarray(sigma, dtype=float)
-    lam = np.linalg.eigvalsh(whiten(sigma, scales.sigma_star))
+    lam = nts_eigenvalues(sigma, scales.sigma_star)
     if not window_excess(lam, z) <= WINDOW_TOL:
         raise ValueError("covariance is squeezed beyond the window "
                          f"[{1 / z:.4g}, {z:.4g}]: eigenvalues {lam}")
@@ -184,8 +185,9 @@ class MixtureEnsemble:
             raise ValueError("weights must be nonnegative and sum to 1")
         if not np.isfinite(self.blurs).all():
             raise ValueError("a particle blur is not finite")
+        # `purity_defect` for d = 1, where a^T Omega a = det(a) Omega
         dets = np.linalg.det(self.covs)
-        if not np.abs(dets / (self.hbar / 2.0) ** 2 - 1.0).max() <= DET_TOL:
+        if not np.abs(dets / (self.hbar / 2.0) ** 2 - 1.0).max() <= PURITY_TOL:
             raise ValueError("a particle covariance is not pure")
         lam = nts_eigenvalues(self.covs, sigma_star)
         if not window_excess(lam, z) <= WINDOW_TOL:

@@ -215,12 +215,12 @@ class HamiltonianModel:
         lo, hi = float(self.domain[0]), float(self.domain[1])
         if not (hi > lo):
             raise ValueError("domain must be a nonempty interval")
-        if self.mass <= 0:
+        if not self.mass > 0:
             raise ValueError("mass must be positive")
         self.domain = (lo, hi)
         self.sup2 = float(self.potential.sup_hess(lo, hi))
         self.sup3 = float(self.potential.sup_third(lo, hi))
-        if self.sup2 <= 0:
+        if not self.sup2 > 0:
             raise ValueError("sup |V''| over the domain must be positive")
 
     def in_domain(self, x) -> bool:

@@ -44,17 +44,19 @@ class DiffusionSpec:
 
     Only the moduli of the Lindblad amplitudes enter (D_x = hbar |l_p|^2,
     D_p = hbar |l_x|^2); complex phases are not represented, and no cross
-    terms appear in the diffusion matrix.
+    terms appear in the diffusion matrix.  hbar has no default, since it
+    sets every scale.
     """
 
     d_x: float
     d_p: float
-    hbar: float = 1.0
+    hbar: float
 
     def __post_init__(self):
-        if self.d_x < 0 or self.d_p < 0:
+        # written as `not x >= 0` so that a NaN fails
+        if not (self.d_x >= 0 and self.d_p >= 0):
             raise ValueError("diffusion constants must be nonnegative")
-        if self.hbar <= 0:
+        if not self.hbar > 0:
             raise ValueError("hbar must be positive")
 
     def matrix(self) -> np.ndarray:

@@ -1,12 +1,15 @@
+import importlib
 import os
+import pkgutil
 import re
 
 import numpy as np
 import pytest
 
+import phasemix
 from phasemix import harness
 from phasemix.cli import main
-from phasemix.config import (ExperimentConfig, parse_config, serialize_config)
+from phasemix.config import ExperimentConfig, parse_config
 from phasemix.fokker_planck import MASS_TOL
 from phasemix.harness import (emit_plots, run_breakdown_demo, run_comparison,
                               ComparisonReport)
@@ -44,6 +47,16 @@ z_cap = 3.0
 """
 
 
+@pytest.mark.parametrize("name", ["phasemix"] + [
+    f"phasemix.{m.name}" for m in pkgutil.iter_modules(phasemix.__path__)])
+def test_every_all_entry_exists(name):
+    # a stale entry breaks `from name import *`
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ())
+               if not hasattr(module, n)]
+    assert not missing
+
+
 def write_cfg(tmp_path, text=HARMONIC_INI, name="exp.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -59,12 +72,6 @@ class TestConfig:
         assert cfg.dt_quantum is None
         assert cfg.margin == 0.10
         assert cfg.z_cap == 3.0
-
-    def test_round_trip_fixpoint(self):
-        cfg = parse_config(HARMONIC_INI)
-        text = serialize_config(cfg)
-        assert parse_config(text) == cfg
-        assert serialize_config(parse_config(text)) == text
 
     @pytest.mark.parametrize("mangle,fragment", [
         (lambda s: s.replace("mass = 1.0", "mass = heavy"),
@@ -95,6 +102,23 @@ class TestConfig:
         # a misspelt section is unknown, not a missing [numerics] t_final
         (lambda s: s.replace("[numerics]", "[numeric]"),
          "[numeric]: unknown section"),
+        # float() reads nan and inf; each is refused where it is read
+        (lambda s: s.replace("mass = 1.0", "mass = nan"),
+         "[model] mass: 'nan' is not finite"),
+        (lambda s: s.replace("params = 1.0", "params = nan"),
+         "[model] params: 'nan' is not finite"),
+        (lambda s: s.replace("d_x = 0.05", "d_x = nan"),
+         "[diffusion] d_x: 'nan' is not finite"),
+        (lambda s: s.replace("hbar = 1.0", "hbar = nan"),
+         "[diffusion] hbar: 'nan' is not finite"),
+        (lambda s: s.replace("\nx = 1.0", "\nx = nan"),
+         "[initial] x: 'nan' is not finite"),
+        (lambda s: s.replace("t_final = 1.0", "t_final = nan"),
+         "[numerics] t_final: 'nan' is not finite"),
+        (lambda s: s.replace("t_final = 1.0", "t_final = inf"),
+         "[numerics] t_final: 'inf' is not finite"),
+        (lambda s: s.replace("z_cap = 3.0", "z_cap = nan"),
+         "[flags] z_cap: 'nan' is not finite"),
     ])
     def test_anchored_errors(self, mangle, fragment):
         with pytest.raises(ValueError, match=re.escape(fragment)):
@@ -116,7 +140,6 @@ class TestConfig:
                                     "p_min = -4.0\np_max = 4.0\n\n[flags]")
         cfg = parse_config(text)
         assert cfg.p_min == -4.0
-        assert parse_config(serialize_config(cfg)) == cfg
 
 
 class TestHarness:

@@ -11,14 +11,15 @@ from phasemix.gaussian import (
     gaussian_moment4,
     gaussian_moment6,
     is_pure_gaussian,
-    nts_check,
     nts_eigenvalues,
     purity_defect,
     random_pure_cov,
     random_symplectic,
     sigma_star,
     symplectic_form,
+    window_excess,
 )
+from phasemix.mixture import WINDOW_TOL
 
 
 def test_symplectic_form_properties():
@@ -56,16 +57,12 @@ class TestNTS:
     def test_sigma_star_inside_any_window(self):
         ss = sigma_star(2.0, 1.0)
         for z in (1.0, 2.0, 10.0):
-            assert nts_check(ss, ss, z)
+            assert window_excess(nts_eigenvalues(ss, ss), z) <= WINDOW_TOL
 
     def test_scaled_out_of_window(self):
         ss = sigma_star(1.0, 1.0)
-        assert not nts_check(2.0 * 3.0 * ss, ss, 3.0)
-
-    def test_z_below_one_rejected(self):
-        ss = sigma_star(1.0, 1.0)
-        with pytest.raises(ValueError):
-            nts_check(ss, ss, 0.5)
+        assert not window_excess(nts_eigenvalues(2.0 * 3.0 * ss, ss),
+                                 3.0) <= WINDOW_TOL
 
     def test_upper_lower_equivalence_for_pure(self):
         # for pure Gaussians, "not too long" iff "not too thin"

@@ -42,6 +42,12 @@ def assert_matches_wavefunction(g, mean, cov):
     assert np.abs(g.rho - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
+def test_grid_refuses_nan_hbar():
+    x = np.linspace(-1.0, 1.0, 4)
+    with pytest.raises(ValueError, match="hbar must be positive"):
+        DensityMatrixGrid(x, np.eye(4), np.nan)
+
+
 def coherent_grid(mean=(0.0, 0.0), n=256, box=12.0, a_H=1.0, hbar=1.0):
     st = GaussianState(np.asarray(mean, float), sigma_star(a_H, hbar), hbar)
     return gaussian_to_grid(st, n, -box, box)
@@ -115,9 +121,10 @@ class TestMixedKernel:
     def test_pure_case_matches_outer_product(self):
         st = GaussianState([0.4, -0.2],
                            np.array([[1.0, 0.3], [0.3, 0.34]]), 1.0)
-        g = gaussian_to_grid(st, 256, -12.0, 12.0)
-        kern = density_kernel(st, g.x)
-        assert np.abs(kern - g.rho).max() < 1e-8
+        x = np.linspace(-12.0, 12.0, 256, endpoint=False)
+        ref = wavefunction_reference(x, st.mean, st.cov, st.hbar)
+        assert (np.abs(density_kernel(st, x) - ref).max()
+                <= 1e-14 * np.abs(ref).max())
 
     def test_mixed_kernel_moments_and_purity(self):
         cov = np.array([[1.0, 0.1], [0.1, 0.8]])  # mixed: det > (1/2)^2
@@ -248,7 +255,8 @@ class TestEvolution:
                                                  (-12.0, 12.0)),
                             NO_DIFF, 1.0, 0.01)
 
-    @pytest.mark.parametrize("diff", [NO_DIFF, DiffusionSpec(0.01, 0.01)],
+    @pytest.mark.parametrize("diff",
+                             [NO_DIFF, DiffusionSpec(0.01, 0.01, 1.0)],
                              ids=["wavefunction", "density"])
     def test_kinetic_term_uses_model_mass(self, diff):
         # k = 1, m = 4: <x>(t) = x0 cos(t / 2) on both paths; the mean of

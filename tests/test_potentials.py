@@ -156,3 +156,10 @@ def test_model_invariants():
     # the domain sets the sup norms, so it has no default
     with pytest.raises(TypeError, match="domain"):
         HamiltonianModel(1.0, Harmonic(1.0))
+
+
+def test_model_refuses_nan():
+    with pytest.raises(ValueError, match="mass must be positive"):
+        HamiltonianModel(np.nan, Harmonic(1.0), (-1, 1))
+    with pytest.raises(ValueError, match="V''"):
+        HamiltonianModel(1.0, Harmonic(np.nan), (-1, 1))

@@ -235,6 +235,19 @@ def test_diffusion_spec_validation():
     assert np.array_equal(mat, np.diag([0.25, 0.5]))
 
 
+@pytest.mark.parametrize("args", [(np.nan, 0.1, 1.0), (0.1, np.nan, 1.0),
+                                  (0.1, 0.1, np.nan)])
+def test_diffusion_spec_refuses_nan(args):
+    with pytest.raises(ValueError):
+        DiffusionSpec(*args)
+
+
+def test_diffusion_spec_hbar_has_no_default():
+    # hbar sets every scale, so a missing one must not default to 1
+    with pytest.raises(TypeError, match="hbar"):
+        DiffusionSpec(0.1, 0.1)
+
+
 class TestStepSchedule:
     def test_lands_on_every_snapshot_without_enlarging_dt(self):
         # 10 / 0.0185 = 540.5; 545 is the first count divisible by 5
