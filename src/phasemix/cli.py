@@ -1,19 +1,21 @@
 """Command-line front end.
 
-Each subcommand but `physical-example` reads an experiment config (INI),
-which sets every experiment value; the only flags besides --config are
---seed, which replaces [flags] seed, and --out, the output directory.
-`physical-example` takes only --out.  A subcommand runs the
-requested report, or one solver leg of `harness.Experiment`, prints a
-text summary, and writes CSV files with fixed column orders into the
-output directory.  The `evolve-*` subcommands share one function, driven
-by the table `EVOLVE`: each runs its leg and writes the moments of every
-snapshot, plus that solver's own columns.  Identical config, seed and
-BLAS thread count produce byte-identical outputs.
+Each subcommand but `physical-example` reads an experiment config (INI)
+named by --config, which sets every experiment value, the seed included;
+the one other flag is --out, the output directory (default: the current
+one).  `physical-example` takes only --out.  A config that cannot be read
+or is invalid ends the run with one line on stderr and exit status 2.
+A subcommand runs the requested report, or one solver leg of
+`harness.Experiment`, prints a text summary, and writes CSV files with
+fixed column orders into the output directory.  The `evolve-*`
+subcommands share one function, driven by the table `EVOLVE`: each runs
+its leg and writes the moments of every snapshot, plus that solver's own
+columns.  Identical config and BLAS thread count produce byte-identical
+outputs.
 """
 
 import argparse
-import dataclasses
+import functools
 import math
 import os
 import sys
@@ -32,33 +34,13 @@ __all__ = ["main"]
 HBAR_SI = 1.054571817e-34
 
 
-def _add_common(p):
-    p.add_argument("--config", required=True,
-                   help="experiment config file (INI)")
-    p.add_argument("--seed", type=int, help="override [flags] seed")
-
-
-def _load(args):
-    cfg = load_config(args.config)
-    overrides = {name: getattr(args, name) for name in ("seed", "out")
-                 if getattr(args, name) is not None}
-    return dataclasses.replace(cfg, **overrides)
-
-
-def _out_dir(cfg):
-    out = cfg.out or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _save(out, name, header, rows):
     path = os.path.join(out, name)
     write_csv(path, header, rows)
     print(f"wrote {path}")
 
 
-def cmd_scales(args):
-    cfg = _load(args)
+def cmd_scales(cfg, out):
     rep = Experiment.from_config(cfg).scales
     try:
         eps = theorem_epsilon(rep, cfg.t_final, 1, cfg.z_cap)
@@ -68,7 +50,7 @@ def cmd_scales(args):
                     ("x_H", rep.x_H), ("p_H", rep.p_H), ("D0", rep.d0),
                     ("z", rep.z), (f"epsilon(t={cfg.t_final})", eps)]:
         print(f"{name:>20s}  {v!r}")
-    _save(_out_dir(cfg), "scales.csv",
+    _save(out, "scales.csv",
           ["tau_H", "a_H", "s_H", "x_H", "p_H", "D0", "z", "epsilon_t"],
           [(rep.tau_H, rep.a_H, rep.s_H, rep.x_H, rep.p_H, rep.d0, rep.z,
             eps)])
@@ -91,9 +73,7 @@ EVOLVE = {
 }
 
 
-def cmd_evolve(args):
-    leg, name, extra = EVOLVE[args.command]
-    cfg = _load(args)
+def cmd_evolve(leg, name, extra, cfg, out):
     exp = Experiment.from_config(cfg)
     rows = []
     for t, state in getattr(exp, leg)():
@@ -101,14 +81,13 @@ def cmd_evolve(args):
         rows.append((float(t), float(mean[0]), float(mean[1]),
                      float(cov[0, 0]), float(cov[0, 1]), float(cov[1, 1]))
                     + tuple(value(exp, state) for value in extra.values()))
-    _save(_out_dir(cfg), name,
+    _save(out, name,
           ["time", "mean_x", "mean_p", "cov_xx", "cov_xp", "cov_pp",
            *extra], rows)
     return 0
 
 
-def cmd_harmonic_error(args):
-    cfg = _load(args)
+def cmd_harmonic_error(cfg, out):
     exp = Experiment.from_config(cfg)
     hbar = cfg.hbar
     rows = []
@@ -124,17 +103,16 @@ def cmd_harmonic_error(args):
                      r.bound_classical, r.numeric_quantum,
                      r.numeric_classical, r.ratio_quantum,
                      r.ratio_classical))
-    _save(_out_dir(cfg), "harmonic_error.csv",
+    _save(out, "harmonic_error.csv",
           ["alpha_x", "sigma_xx", "bound_quantum", "bound_classical",
            "numeric_quantum", "numeric_classical", "ratio_quantum",
            "ratio_classical"], rows)
     return 0
 
 
-def cmd_compare(args):
-    cfg = _load(args)
+def cmd_compare(cfg, out):
     report = run_comparison(cfg)
-    for path in emit_plots(report, _out_dir(cfg)):
+    for path in emit_plots(report, out):
         print(f"wrote {path}")
     for t, td, l1, eps, ok in zip(report.times, report.trace_distances,
                                   report.l1_distances, report.epsilons,
@@ -148,16 +126,15 @@ def cmd_compare(args):
     return 0 if report.passed else 1
 
 
-def cmd_breakdown_demo(args):
-    cfg = _load(args)
+def cmd_breakdown_demo(cfg, out):
     report = run_breakdown_demo(cfg)
-    for path in emit_plots(report, _out_dir(cfg)):
+    for path in emit_plots(report, out):
         print(f"wrote {path}")
     print(f"ehrenfest_estimate: {report.ehrenfest_estimate!r}")
     return 0
 
 
-def cmd_physical_example(args):
+def cmd_physical_example(cfg, out):
     rows = [
         ("ehrenfest_time_1s_unit_action",
          ehrenfest_time(1.0, 1.0, HBAR_SI)),
@@ -168,15 +145,14 @@ def cmd_physical_example(args):
     ]
     for name, v in rows:
         print(f"{name:>40s}  {v:.4g} s")
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
     _save(out, "physical_example.csv", ["quantity", "seconds"], rows)
     return 0
 
 
 COMMANDS = {
     "scales": cmd_scales,
-    **dict.fromkeys(EVOLVE, cmd_evolve),
+    **{name: functools.partial(cmd_evolve, *leg)
+       for name, leg in EVOLVE.items()},
     "harmonic-error": cmd_harmonic_error,
     "compare": cmd_compare,
     "breakdown-demo": cmd_breakdown_demo,
@@ -193,11 +169,20 @@ def main(argv=None):
     for name in COMMANDS:
         p = sub.add_parser(name)
         if name != "physical-example":
-            _add_common(p)
-        p.add_argument("--out",
-                       help="output directory (default: config or .)")
+            p.add_argument("--config", required=True,
+                           help="experiment config file (INI)")
+        p.add_argument("--out", default=".",
+                       help="output directory (default: .)")
     args = parser.parse_args(argv)
-    return COMMANDS[args.command](args)
+    cfg = None
+    if args.command != "physical-example":
+        try:
+            cfg = load_config(args.config)
+        except (OSError, ValueError) as exc:
+            print(f"phasemix: error: {args.config}: {exc}", file=sys.stderr)
+            return 2
+    os.makedirs(args.out, exist_ok=True)
+    return COMMANDS[args.command](cfg, args.out)
 
 
 if __name__ == "__main__":

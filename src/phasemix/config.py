@@ -6,8 +6,10 @@ grids and step sizes ([numerics]), and run flags ([flags]).  Each option
 is declared once, as an `ExperimentConfig` field: its annotation sets how
 the INI text is read, and a field without a default is a required option.
 Parsing either produces a fully validated `ExperimentConfig` or raises a
-ValueError naming the section and option at fault; a float that is not
-finite (nan, inf) is refused as it is read.
+ValueError naming the section and option at fault.  The checks run when
+an `ExperimentConfig` is built, so one built in Python meets the same
+rules: first, a float that is not finite (nan, inf), also inside
+`params`, is refused as `[section] option: 'nan' is not finite`.
 """
 
 import configparser
@@ -56,9 +58,18 @@ class ExperimentConfig:
     blur_cap: Optional[float] = None
     effective_diffusion: bool = False
     margin: float = 0.10
-    out: Optional[str] = None
 
     def __post_init__(self):
+        # no option may hold nan or inf (float() reads both); checked
+        # first, so the range checks below never see a nan
+        for section, names in _SECTIONS.items():
+            for name in names:
+                value = getattr(self, name)
+                for v in value if isinstance(value, tuple) else (value,):
+                    if isinstance(v, float) and not math.isfinite(v):
+                        raise ValueError(f"[{section}] "
+                                         f"{_OPTION.get(name, name)}: "
+                                         f"'{v}' is not finite")
         if self.x_min >= self.x_max:
             raise ValueError("[model] x_min must be below x_max")
         if self.mass <= 0:
@@ -123,8 +134,7 @@ _SECTIONS = {
     "initial": ("x0", "p0"),
     "numerics": ("t_final", "dt_quantum", "n_grid", "n_phase", "p_min",
                  "p_max", "particles", "samples", "snapshots", "edge_tol"),
-    "flags": ("seed", "z_cap", "blur_cap", "effective_diffusion", "margin",
-              "out"),
+    "flags": ("seed", "z_cap", "blur_cap", "effective_diffusion", "margin"),
 }
 _OPTION = {"x0": "x", "p0": "p"}
 _FIELDS = {f.name: f for f in fields(ExperimentConfig)}
@@ -132,7 +142,7 @@ assert [n for ns in _SECTIONS.values() for n in ns] == list(_FIELDS)
 
 
 def _convert(section, option, raw, kind):
-    if get_origin(kind) is Union:               # Optional[float], [str]
+    if get_origin(kind) is Union:               # Optional[float]
         if raw.lower() in ("none", "auto", ""):
             return None
         kind = get_args(kind)[0]
@@ -140,17 +150,11 @@ def _convert(section, option, raw, kind):
         if kind is bool:
             return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         if get_origin(kind) is tuple:
-            value = tuple(float(v) for v in raw.replace(",", " ").split())
-        else:
-            value = kind(raw)
+            return tuple(float(v) for v in raw.replace(",", " ").split())
+        return kind(raw)
     except (KeyError, ValueError):
         raise ValueError(f"[{section}] {option}: cannot parse {raw!r} as "
                          f"{getattr(kind, '__name__', kind)}") from None
-    values = value if isinstance(value, tuple) else (value,)
-    # float() also reads nan and inf, which no option may hold
-    if not all(math.isfinite(v) for v in values if isinstance(v, float)):
-        raise ValueError(f"[{section}] {option}: {raw!r} is not finite")
-    return value
 
 
 def parse_config(text: str) -> ExperimentConfig:

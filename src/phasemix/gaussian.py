@@ -76,8 +76,10 @@ class GaussianState:
             raise ValueError("mean must be a 2d-vector (x block then p block)")
         if self.cov.shape != (self.mean.size, self.mean.size):
             raise ValueError("covariance shape does not match mean")
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+        if not np.isfinite(self.mean).all():
+            raise ValueError("mean must be finite")
+        if not 0.0 < self.hbar < np.inf:
+            raise ValueError("hbar must be positive and finite")
         _check_symmetric(self.cov)
         if not np.linalg.eigvalsh(self.cov).min() > 0:
             raise ValueError("covariance must be positive definite")

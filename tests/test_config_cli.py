@@ -1,4 +1,6 @@
+import dataclasses
 import importlib
+import math
 import os
 import pkgutil
 import re
@@ -119,10 +121,42 @@ class TestConfig:
          "[numerics] t_final: 'inf' is not finite"),
         (lambda s: s.replace("z_cap = 3.0", "z_cap = nan"),
          "[flags] z_cap: 'nan' is not finite"),
+        # the output directory is a run setting (--out), not an
+        # experiment value
+        (lambda s: s.replace("z_cap = 3.0", "z_cap = 3.0\nout = r"),
+         "[flags] out: unknown option"),
     ])
     def test_anchored_errors(self, mangle, fragment):
         with pytest.raises(ValueError, match=re.escape(fragment)):
             parse_config(mangle(HARMONIC_INI))
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("params", (math.nan,), "[model] params: 'nan'"),
+        ("mass", math.nan, "[model] mass: 'nan'"),
+        ("x_min", math.nan, "[model] x_min: 'nan'"),
+        ("x_max", math.nan, "[model] x_max: 'nan'"),
+        ("d_x", math.nan, "[diffusion] d_x: 'nan'"),
+        ("d_p", math.nan, "[diffusion] d_p: 'nan'"),
+        ("hbar", math.nan, "[diffusion] hbar: 'nan'"),
+        ("x0", math.nan, "[initial] x: 'nan'"),
+        ("x0", math.inf, "[initial] x: 'inf'"),
+        ("p0", math.nan, "[initial] p: 'nan'"),
+        ("t_final", math.nan, "[numerics] t_final: 'nan'"),
+        ("t_final", math.inf, "[numerics] t_final: 'inf'"),
+        ("dt_quantum", math.nan, "[numerics] dt_quantum: 'nan'"),
+        ("p_min", math.nan, "[numerics] p_min: 'nan'"),
+        ("p_max", math.nan, "[numerics] p_max: 'nan'"),
+        ("edge_tol", math.nan, "[numerics] edge_tol: 'nan'"),
+        ("z_cap", math.nan, "[flags] z_cap: 'nan'"),
+        ("blur_cap", math.nan, "[flags] blur_cap: 'nan'"),
+        ("margin", math.nan, "[flags] margin: 'nan'"),
+    ])
+    def test_construction_refuses_non_finite(self, name, value, message):
+        # a config built in Python is held to the parser's rule
+        cfg = parse_config(HARMONIC_INI)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{message} is not finite")):
+            dataclasses.replace(cfg, **{name: value})
 
     def test_effective_diffusion_substitution(self):
         base = parse_config(HARMONIC_INI)
@@ -343,7 +377,8 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "dust_grain_validity_time" in out
         assert (tmp_path / "physical_example.csv").exists()
-        # it reads no config, so it takes no --config or --seed
+        # it reads no config, so it takes no --config (and no subcommand
+        # takes --seed)
         for extra in (["--seed", "3"], ["--config", write_cfg(tmp_path)]):
             with pytest.raises(SystemExit, match="2"):  # argparse usage
                 self.run("physical-example", *extra)
@@ -351,15 +386,37 @@ class TestCLI:
     def test_ini_values_have_no_flags(self, tmp_path):
         cfg = write_cfg(tmp_path)
         for extra in (["--margin", "0.2"], ["--z-cap", "2"],
-                      ["--blur-cap", "2"], ["--effective-diffusion"]):
+                      ["--blur-cap", "2"], ["--effective-diffusion"],
+                      ["--seed", "3"]):
             with pytest.raises(SystemExit, match="2"):  # argparse usage
                 self.run("compare", "--config", cfg, *extra)
 
     def test_seed_override_changes_langevin(self, tmp_path):
-        cfg = write_cfg(tmp_path)
-        out1, out2 = tmp_path / "s1", tmp_path / "s2"
-        self.run("evolve-langevin", "--config", cfg, "--out", str(out1))
-        self.run("evolve-langevin", "--config", cfg, "--seed", "99",
-                 "--out", str(out2))
-        assert (out1 / "langevin.csv").read_text() != \
-            (out2 / "langevin.csv").read_text()
+        # [flags] seed is the one entry point of the seed
+        runs = []
+        for seed in (3, 99):
+            cfg = write_cfg(tmp_path, HARMONIC_INI.replace(
+                "seed = 3", f"seed = {seed}"), f"s{seed}.ini")
+            out = tmp_path / f"s{seed}"
+            assert self.run("evolve-langevin", "--config", cfg,
+                            "--out", str(out)) == 0
+            runs.append((out / "langevin.csv").read_text())
+        assert runs[0] != runs[1]
+
+    @pytest.mark.parametrize("make_cfg, fragment", [
+        (lambda d: write_cfg(d, HARMONIC_INI.replace("hbar = 1.0",
+                                                     "hbar = nan")),
+         "[diffusion] hbar: 'nan' is not finite"),
+        (lambda d: str(d / "missing.ini"), "No such file"),
+    ], ids=["nan", "missing"])
+    def test_bad_config_is_one_line(self, tmp_path, capsys, make_cfg,
+                                    fragment):
+        cfg = make_cfg(tmp_path)
+        # 2: argparse's status for a usage error
+        assert self.run("scales", "--config", cfg,
+                        "--out", str(tmp_path / "r")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"phasemix: error: {cfg}: ")
+        assert fragment in err and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "r").exists()

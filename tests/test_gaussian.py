@@ -183,3 +183,16 @@ def test_random_symplectic_is_symplectic(seed):
     s = random_symplectic(1, rng)
     omega = symplectic_form(1)
     assert np.abs(s.T @ omega @ s - omega).max() < 1e-10
+
+
+@pytest.mark.parametrize("mean, hbar, fragment", [
+    # a nan centre would pass gaussian_to_grid's 6-sigma test and
+    # rasterize to an all-zero rho0
+    ([np.nan, 0.0], 1.0, "mean must be finite"),
+    ([np.inf, 0.0], 1.0, "mean must be finite"),
+    ([0.0, 0.0], np.inf, "hbar must be positive and finite"),
+    ([0.0, 0.0], np.nan, "hbar must be positive and finite"),
+], ids=["nan-mean", "inf-mean", "inf-hbar", "nan-hbar"])
+def test_state_refuses_non_finite(mean, hbar, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        GaussianState(mean, np.eye(2), hbar)

@@ -163,3 +163,11 @@ def test_model_refuses_nan():
         HamiltonianModel(np.nan, Harmonic(1.0), (-1, 1))
     with pytest.raises(ValueError, match="V''"):
         HamiltonianModel(1.0, Harmonic(np.nan), (-1, 1))
+
+
+def test_potential_parameters_have_no_defaults():
+    # make_potential passes every parameter, so none has a default
+    for make in (Harmonic, lambda: DoubleWell(1.0), lambda: Cosine(1.0),
+                 CubicHarmonic):
+        with pytest.raises(TypeError, match="missing"):
+            make()
