@@ -8,13 +8,18 @@ the INI text is read, and a field without a default is a required option.
 Parsing either produces a fully validated `ExperimentConfig` or raises a
 ValueError naming the section and option at fault.  The checks run when
 an `ExperimentConfig` is built, so one built in Python meets the same
-rules: first, a float that is not finite (nan, inf), also inside
-`params`, is refused as `[section] option: 'nan' is not finite`.
+rules: first, a value whose type does not fit its annotation is refused
+as `[numerics] particles: expected int, got 2.5` (an int field takes an
+integral number, a float field a real one, neither a bool; `params` takes
+a tuple of reals; an Optional field also takes None); then a number that
+is not finite (nan, inf), also inside `params`, is refused as
+`[section] option: 'nan' is not finite`.
 """
 
 import configparser
 import math
 from dataclasses import MISSING, dataclass, fields
+from numbers import Integral, Real
 from typing import Optional, Tuple, Union, get_args, get_origin
 
 from .potentials import HamiltonianModel, make_potential
@@ -60,16 +65,19 @@ class ExperimentConfig:
     margin: float = 0.10
 
     def __post_init__(self):
-        # no option may hold nan or inf (float() reads both); checked
-        # first, so the range checks below never see a nan
+        # every option must fit its annotation and no number may be nan
+        # or inf (float() reads both); checked first, so the range checks
+        # below never see a nan
         for section, names in _SECTIONS.items():
             for name in names:
-                value = getattr(self, name)
+                value, kind = getattr(self, name), _FIELDS[name].type
+                option = f"[{section}] {_OPTION.get(name, name)}"
+                if not _fits(value, kind):
+                    raise ValueError(f"{option}: expected {_KIND_NAME[kind]},"
+                                     f" got {value!r}")
                 for v in value if isinstance(value, tuple) else (value,):
-                    if isinstance(v, float) and not math.isfinite(v):
-                        raise ValueError(f"[{section}] "
-                                         f"{_OPTION.get(name, name)}: "
-                                         f"'{v}' is not finite")
+                    if isinstance(v, Real) and not math.isfinite(v):
+                        raise ValueError(f"{option}: '{v}' is not finite")
         if self.x_min >= self.x_max:
             raise ValueError("[model] x_min must be below x_max")
         if self.mass <= 0:
@@ -139,6 +147,23 @@ _SECTIONS = {
 _OPTION = {"x0": "x", "p0": "p"}
 _FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 assert [n for ns in _SECTIONS.values() for n in ns] == list(_FIELDS)
+_KIND_NAME = {str: "str", bool: "bool", int: "int", float: "float",
+              Optional[float]: "float or None",
+              Tuple[float, ...]: "tuple of floats"}
+
+
+def _fits(value, kind) -> bool:
+    """Whether `value` has the type of a field annotated `kind`; numpy
+    scalars fit, a bool is no number."""
+    if get_origin(kind) is Union:               # Optional[float]
+        return value is None or _fits(value, get_args(kind)[0])
+    if get_origin(kind) is tuple:
+        return isinstance(value, tuple) and all(_fits(v, float)
+                                                for v in value)
+    if kind in (int, float):
+        number = Integral if kind is int else Real
+        return isinstance(value, number) and not isinstance(value, bool)
+    return isinstance(value, kind)
 
 
 def _convert(section, option, raw, kind):

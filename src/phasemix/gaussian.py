@@ -78,6 +78,8 @@ class GaussianState:
             raise ValueError("covariance shape does not match mean")
         if not np.isfinite(self.mean).all():
             raise ValueError("mean must be finite")
+        if not np.isfinite(self.cov).all():
+            raise ValueError("covariance must be finite")
         if not 0.0 < self.hbar < np.inf:
             raise ValueError("hbar must be positive and finite")
         _check_symmetric(self.cov)
@@ -106,15 +108,16 @@ def is_pure_gaussian(cov: np.ndarray, hbar: float) -> bool:
 
 def whiten(mat: np.ndarray, sig_star: np.ndarray) -> np.ndarray:
     """sigma*^(-1/2) mat sigma*^(-1/2) for the diagonal sigma*; mat may be
-    a stack (..., 2d, 2d)."""
-    s = np.sqrt(np.diag(sig_star))
-    return mat / np.outer(s, s)
+    a stack (..., 2d, 2d).  sigma* itself whitens to I exactly, since
+    sqrt(d * d) == d in floating point."""
+    d = np.diag(sig_star)
+    return mat / np.sqrt(np.outer(d, d))
 
 
 def unwhiten(mat: np.ndarray, sig_star: np.ndarray) -> np.ndarray:
     """Inverse of `whiten`: sigma*^(1/2) mat sigma*^(1/2)."""
-    s = np.sqrt(np.diag(sig_star))
-    return mat * np.outer(s, s)
+    d = np.diag(sig_star)
+    return mat * np.sqrt(np.outer(d, d))
 
 
 def nts_eigenvalues(cov: np.ndarray, sig_star: np.ndarray) -> np.ndarray:

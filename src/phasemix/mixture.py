@@ -21,10 +21,21 @@ the particles, hbar and the seed of its kick streams.  Each
 diffusion and `z_cap` it is given, so a run cannot mix the scales of one
 diffusion with the noise of another.
 
-The squeeze window is enforced in whitened coordinates: the eigenvalues of
-sigma-tilde = sigma_star^(-1/2) sigma sigma_star^(-1/2) stay in [1/z, z],
-z = `effective_z(scales, z_cap)`.  At z = 1 the window collapses to
-sigma_star; a floor z >= Z_FLOOR keeps the relaxation term M nonstiff
+A step runs in sigma_star-whitened coordinates, X-tilde =
+sigma_star^(-1/2) X sigma_star^(-1/2) for X = sigma, C, D, S_Z, S_D, and
+F-tilde = sigma_star^(-1/2) F sigma_star^(1/2).  All of the rules are
+stated there: purity is det sigma-tilde = 1, the squeeze window keeps the
+eigenvalues of sigma-tilde in [1/z, z], z = `effective_z(scales,
+z_cap)`, the relaxation M shares sigma-tilde's eigenvectors, S_D-tilde
+>= 0, and a blur spills when its largest eigenvalue passes `blur_cap`.
+sigma_star whitens to I exactly.  A run whitens D once; each step
+whitens sigma and C once, and unwhitens them once after one
+eigendecomposition sigma-tilde = V diag(l0, l1) V^T has projected every
+particle onto V diag(1/r, r) V^T with r = min(sqrt(l1 / l0), z): purity
+and the window in one move.  Between steps the state is in raw units, as
+a snapshot holds it, so that a run resumed from a snapshot repeats an
+unbroken one bit for bit; a whitening round trip is not exact.  At z = 1 the
+window collapses to sigma_star; a floor z >= Z_FLOOR keeps M nonstiff
 while remaining conservative for the error budget.  Every abort check is
 written as `not x <= tol`, so that a NaN fails it.
 """
@@ -75,12 +86,6 @@ def effective_z(scales: ScaleReport, z_cap=None):
     return max(z, Z_FLOOR)
 
 
-def whiten_f(f: np.ndarray, scales: ScaleReport) -> np.ndarray:
-    """Similarity transform sigma_star^(-1/2) F sigma_star^(1/2)."""
-    s = np.sqrt(np.diag(scales.sigma_star))
-    return f * np.outer(1.0 / s, s)
-
-
 def m_matrix(sigma_tilde: np.ndarray, scales: ScaleReport,
              z: float) -> np.ndarray:
     """Relaxation matrix M = m_rate (s - s^-1) / (1 - z^-2), whitened.
@@ -116,9 +121,11 @@ def split_sdot(alpha, sigma, model: HamiltonianModel,
     if not window_excess(lam, z) <= WINDOW_TOL:
         raise ValueError("covariance is squeezed beyond the window "
                          f"[{1 / z:.4g}, {z:.4g}]: eigenvalues {lam}")
-    sz, sd, _, _ = _batch_split_sdot(np.asarray(alpha, dtype=float)[None],
-                                     sigma[None], model, diffusion, scales, z)
-    return sz[0], sd[0]
+    sig_star = scales.sigma_star
+    sz, sd, _, _ = _batch_split_sdot(
+        np.asarray(alpha, dtype=float)[None], whiten(sigma, sig_star)[None],
+        model, whiten(diffusion.matrix(), sig_star), scales, z)
+    return unwhiten(sz[0], sig_star), unwhiten(sd[0], sig_star)
 
 
 def _noise_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -205,20 +212,22 @@ def coherent_ensemble(alpha, scales: ScaleReport, seed: int,
         blurs=np.zeros((particles, 2, 2)), hbar=scales.hbar, seed=seed)
 
 
-def _batch_split_sdot(alphas, covs, model, diffusion, scales, z):
-    """Vectorized (S_Z, S_D, flow, F) over all particles (d = 1)."""
-    f = hamiltonian_matrix(model, alphas)
-    ft = whiten_f(f, scales)
-    st = whiten(covs, scales.sigma_star)
-    mm = m_matrix(st, scales, z)
+def _batch_split_sdot(alphas, sts, model, d_t, scales, z):
+    """Vectorized (S_Z, S_D, flow, F) over all particles (d = 1).
+
+    Whitened in and out: takes sigma-tilde `sts` and D-tilde `d_t`, and
+    returns S_Z-tilde, S_D-tilde and F-tilde, whose entries are
+    F_ij s_j / s_i with s = sqrt(diag sigma_star).
+    """
+    s = np.sqrt(np.diag(scales.sigma_star))
+    ft = hamiltonian_matrix(model, alphas) * (s / s[:, None])
+    mm = m_matrix(sts, scales, z)
     a = ft - mm
-    sz_t = a @ st + st @ a.transpose(0, 2, 1)
-    d_t = whiten(diffusion.matrix(), scales.sigma_star)
-    sd_t = d_t[None, :, :] + mm @ st + st @ mm
+    sz_t = a @ sts + sts @ a.transpose(0, 2, 1)
+    sd_t = d_t + mm @ sts + sts @ mm
     grad = np.atleast_1d(model.potential.grad(alphas[:, 0]))
     flow = np.stack([alphas[:, 1] / model.mass, -grad], axis=1)
-    return (unwhiten(sz_t, scales.sigma_star),
-            unwhiten(sd_t, scales.sigma_star), flow, f)
+    return sz_t, sd_t, flow, ft
 
 
 def evolve_mixture(ens: MixtureEnsemble, model: HamiltonianModel,
@@ -230,14 +239,22 @@ def evolve_mixture(ens: MixtureEnsemble, model: HamiltonianModel,
     squeeze window is `effective_z(scales, z_cap)`; `ens` must lie inside
     that window and share the diffusion's hbar.
 
-    Deterministic transport: joint 4th-order step of (alpha, sigma, C)
-    along (flow, S_Z, F C + C F^T + S_D).  Purity projection and squeeze
-    clamping run every step; blur exceeding `blur_cap` (whitened spectral
-    norm) spills into center kicks keyed by (ens.seed, particle, step).
+    Deterministic transport: joint 4th-order step of (alpha, sigma-tilde,
+    C-tilde) along (flow, S_Z-tilde, F-tilde C-tilde + C-tilde F-tilde^T
+    + S_D-tilde), all in sigma_star-whitened coordinates.  One projection
+    per step, V diag(1/r, r) V^T with r = min(sqrt(l1 / l0), z) from the
+    eigenpairs of sigma-tilde, restores purity and the squeeze window; a
+    step that leaves the window by more than `WINDOW_TOL` aborts.  Blur
+    exceeding `blur_cap` (whitened spectral norm) spills into center kicks
+    keyed by (ens.seed, particle, step).
     `blur_cap=None` means never spill, exact for quadratic potentials;
     anharmonic models default to 4.0.  `domain_exits` counts the
     particle-steps whose center ends outside `model.domain`, where the
-    sup-derivative bounds no longer hold.
+    sup-derivative bounds no longer hold.  The projection's diagnostics:
+    `max_defect_before` is the largest |det sigma-tilde - 1| it meets,
+    `max_nts_violation` the largest window excess it removes, and
+    `max_displacement` the largest entry change it makes, in units of
+    sigma_star.
     """
     if diffusion.hbar != ens.hbar:
         raise ValueError("diffusion spec and ensemble disagree on hbar")
@@ -254,8 +271,8 @@ def evolve_mixture(ens: MixtureEnsemble, model: HamiltonianModel,
     n_steps, dt, snap_steps = step_schedule(t_final, dt, snapshot_times)
 
     alphas = ens.alphas.copy()
-    covs = ens.covs.copy()
-    blurs = ens.blurs.copy()
+    covs, blurs = ens.covs, ens.blurs
+    d_t = whiten(diffusion.matrix(), sig_star)
     diag = dict(ens.diagnostics)
     diag.setdefault("max_defect_before", 0.0)
     diag.setdefault("max_displacement", 0.0)
@@ -271,59 +288,55 @@ def evolve_mixture(ens: MixtureEnsemble, model: HamiltonianModel,
     out = [(0.0, snapshot(0))]
 
     for step in range(1, n_steps + 1):
+        # raw between steps, so that a resumed run repeats this one exactly
+        sts, cts = whiten(covs, sig_star), whiten(blurs, sig_star)
         ka, ks, kc = [None] * 4, [None] * 4, [None] * 4
-        a_s, c_s, b_s = alphas, covs, blurs
+        a_s, s_s, c_s = alphas, sts, cts
         for stage, w in enumerate((0.5, 0.5, 1.0, None)):
-            sz, sd, flow, f = _batch_split_sdot(a_s, c_s, model, diffusion,
-                                                scales, z)
+            sz, sd, flow, ft = _batch_split_sdot(a_s, s_s, model, d_t,
+                                                 scales, z)
             ka[stage] = flow
             ks[stage] = sz
-            kc[stage] = f @ b_s + b_s @ f.transpose(0, 2, 1) + sd
+            kc[stage] = ft @ c_s + c_s @ ft.transpose(0, 2, 1) + sd
             if w is not None:
                 a_s = alphas + w * dt * ka[stage]
-                c_s = covs + w * dt * ks[stage]
-                b_s = blurs + w * dt * kc[stage]
+                s_s = sts + w * dt * ks[stage]
+                c_s = cts + w * dt * kc[stage]
         alphas = alphas + (dt / 6.0) * (ka[0] + 2 * ka[1] + 2 * ka[2] + ka[3])
-        covs = covs + (dt / 6.0) * (ks[0] + 2 * ks[1] + 2 * ks[2] + ks[3])
-        blurs = blurs + (dt / 6.0) * (kc[0] + 2 * kc[1] + 2 * kc[2] + kc[3])
+        sts = sts + (dt / 6.0) * (ks[0] + 2 * ks[1] + 2 * ks[2] + ks[3])
+        cts = cts + (dt / 6.0) * (kc[0] + 2 * kc[1] + 2 * kc[2] + kc[3])
 
-        # purity projection (d = 1: rescale onto det sigma = (hbar/2)^2)
-        det = covs[:, 0, 0] * covs[:, 1, 1] - covs[:, 0, 1] ** 2
-        defect = np.abs(det / (hbar / 2.0) ** 2 - 1.0)
-        diag["max_defect_before"] = max(diag["max_defect_before"],
-                                        float(defect.max()))
-        scale = (hbar / 2.0) / np.sqrt(det)
-        diag["max_displacement"] = max(
-            diag["max_displacement"],
-            float((np.abs(covs) * np.abs(scale - 1.0)[:, None, None]).max()))
-        covs *= scale[:, None, None]
-
-        # squeeze-window clamp in whitened coordinates
-        lam, vec = np.linalg.eigh(whiten(covs, sig_star))
-        violation = window_excess(lam, z)
+        # one projection onto the pure window: V diag(1/r, r) V^T, where
+        # the pure pair (1/r, r) keeps the eigenvalue ratio l1 / l0 = r^2
+        lam, vec = np.linalg.eigh(sts)
+        diag["max_defect_before"] = max(
+            diag["max_defect_before"],
+            float(np.abs(lam[:, 0] * lam[:, 1] - 1.0).max()))
+        r = np.sqrt(lam[:, 1] / lam[:, 0])
+        violation = window_excess(np.stack([1.0 / r, r], axis=1), z)
         diag["max_nts_violation"] = max(diag["max_nts_violation"], violation)
         if not violation <= WINDOW_TOL:
             raise RuntimeError(f"step {step}: squeeze window violated by "
                                f"{violation:.3g}; reduce dt")
-        if violation > 0.0:
-            lam_cl = np.clip(lam, 1.0 / z, z)
-            lam_cl *= (np.sqrt(lam[:, 0] * lam[:, 1])
-                       / np.sqrt(lam_cl[:, 0] * lam_cl[:, 1]))[:, None]
-            st = np.einsum("mij,mj,mkj->mik", vec, lam_cl, vec)
-            covs = unwhiten(st, sig_star)
+        r = np.minimum(r, z)
+        pure = np.einsum("mij,mj,mkj->mik", vec,
+                         np.stack([1.0 / r, r], axis=1), vec)
+        diag["max_displacement"] = max(diag["max_displacement"],
+                                       float(np.abs(pure - sts).max()))
+        covs, blurs = unwhiten(pure, sig_star), unwhiten(cts, sig_star)
 
         # a NaN blur never spills (norm > blur_cap is False for NaN), and
         # the rasterizers skip its particle, so stop here
-        if not np.isfinite(blurs).all():
+        if not np.isfinite(cts).all():
             raise RuntimeError(f"step {step}: a particle blur is not finite")
 
         # spill oversized blur into center kicks (exact Gaussian split)
         if blur_cap is not None:
-            norm = np.linalg.eigvalsh(whiten(blurs, sig_star))[:, 1]
+            norm = np.linalg.eigvalsh(cts)[:, 1]
             for i in np.nonzero(norm > blur_cap)[0]:
-                kick = _noise_sqrt(blurs[i]) @ stream_normals(
-                    seed, int(i), ens.steps_taken + step, (2,))
-                alphas[i] += kick
+                normals = stream_normals(seed, int(i), ens.steps_taken + step,
+                                         (2,))
+                alphas[i] += _noise_sqrt(blurs[i]) @ normals
                 blurs[i] = 0.0
                 diag["spill_count"] += 1
 

@@ -115,8 +115,15 @@ def step_schedule(t_final: float, dt: float, snapshot_times=None):
     which every time in `snapshot_times` (default: t_final alone) falls on
     a step, so the step t_final / n never exceeds the requested `dt`.
     Returns (n, t_final / n, the set of snapshot step indices).  Raises
-    ValueError when no n up to twice the smallest candidate lands.
+    ValueError for a `dt` that is not positive, a `t_final` that is not
+    positive and finite, or when no n up to twice the smallest candidate
+    lands.
     """
+    if not dt > 0.0:
+        raise ValueError(f"step dt must be positive, got {dt!r}")
+    if not 0.0 < t_final < math.inf:
+        raise ValueError(f"t_final must be positive and finite, got "
+                         f"{t_final!r}")
     times = sorted(snapshot_times) if snapshot_times else [t_final]
     if times[0] < 0.0 or times[-1] > t_final * (1.0 + 1e-9):
         raise ValueError(f"snapshot times must lie in [0, {t_final!r}]")

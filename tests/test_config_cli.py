@@ -158,6 +158,28 @@ class TestConfig:
                            match=re.escape(f"{message} is not finite")):
             dataclasses.replace(cfg, **{name: value})
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("particles", 2.5, "[numerics] particles: expected int, got 2.5"),
+        ("n_grid", 256.0, "[numerics] n_grid: expected int, got 256.0"),
+        ("snapshots", True, "[numerics] snapshots: expected int, got True"),
+        ("seed", 1.5, "[flags] seed: expected int, got 1.5"),
+        ("params", [math.nan],
+         "[model] params: expected tuple of floats, got [nan]"),
+    ], ids=["particles", "n_grid", "snapshots", "seed", "params"])
+    def test_construction_refuses_wrong_type(self, name, value, message):
+        # unchecked, a list of params would skip the finiteness check and
+        # a fractional count would fail inside numpy with no option named
+        cfg = parse_config(HARMONIC_INI)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(cfg, **{name: value})
+
+    def test_construction_takes_numpy_scalars(self):
+        cfg = dataclasses.replace(parse_config(HARMONIC_INI),
+                                  particles=np.int64(7),
+                                  mass=np.float64(2.0),
+                                  params=(np.float64(1.0),))
+        assert cfg.particles == 7 and cfg.mass == 2.0
+
     def test_effective_diffusion_substitution(self):
         base = parse_config(HARMONIC_INI)
         cfg = parse_config(HARMONIC_INI.replace(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -185,14 +187,20 @@ def test_random_symplectic_is_symplectic(seed):
     assert np.abs(s.T @ omega @ s - omega).max() < 1e-10
 
 
-@pytest.mark.parametrize("mean, hbar, fragment", [
+@pytest.mark.parametrize("mean, cov_00, hbar, fragment", [
     # a nan centre would pass gaussian_to_grid's 6-sigma test and
     # rasterize to an all-zero rho0
-    ([np.nan, 0.0], 1.0, "mean must be finite"),
-    ([np.inf, 0.0], 1.0, "mean must be finite"),
-    ([0.0, 0.0], np.inf, "hbar must be positive and finite"),
-    ([0.0, 0.0], np.nan, "hbar must be positive and finite"),
-], ids=["nan-mean", "inf-mean", "inf-hbar", "nan-hbar"])
-def test_state_refuses_non_finite(mean, hbar, fragment):
-    with pytest.raises(ValueError, match=fragment):
-        GaussianState(mean, np.eye(2), hbar)
+    ([np.nan, 0.0], 1.0, 1.0, "mean must be finite"),
+    ([np.inf, 0.0], 1.0, 1.0, "mean must be finite"),
+    ([0.0, 0.0], 1.0, np.inf, "hbar must be positive and finite"),
+    ([0.0, 0.0], 1.0, np.nan, "hbar must be positive and finite"),
+    # named before the symmetry test, whose subtraction would warn on inf
+    # and call either entry an asymmetry
+    ([0.0, 0.0], np.inf, 1.0, "^covariance must be finite$"),
+    ([0.0, 0.0], np.nan, 1.0, "^covariance must be finite$"),
+], ids=["nan-mean", "inf-mean", "inf-hbar", "nan-hbar", "inf-cov", "nan-cov"])
+def test_state_refuses_non_finite(mean, cov_00, hbar, fragment):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=fragment):
+            GaussianState(mean, [[cov_00, 0.0], [0.0, 1.0]], hbar)

@@ -27,7 +27,6 @@ from phasemix.mixture import (
     mixture_to_density_grid,
     mixture_to_phase_field,
     split_sdot,
-    whiten_f,
 )
 from phasemix.potentials import (
     Cosine,
@@ -314,6 +313,29 @@ class TestEvolveMixture:
             assert lam.min() >= 1.0 / z - 1e-6
             assert eT.diagnostics["max_defect_before"] < 1e-5
 
+    def test_projection_clamps_a_step_past_the_window(self, monkeypatch):
+        # an outward S_Z carries sigma~ = diag(1/z, z) in one step to a
+        # pair with r = sqrt(l1 / l0) = z + excess, inside WINDOW_TOL; the
+        # projection must hand back the pure pair (1/z, z)
+        sc = scales_for(WELL, 0.3, 0.5)
+        z, dt = effective_z(sc), 0.01 * sc.tau_H
+        excess = 0.5 * mixture.WINDOW_TOL
+        push = np.diag([0.0, (z + excess) ** 2 / z - z]) / dt
+
+        def outward(alphas, sts, *args):
+            zero = np.zeros_like(sts)
+            return push + zero, zero, np.zeros_like(alphas), zero
+        monkeypatch.setattr(mixture, "_batch_split_sdot", outward)
+        ens = coherent_ensemble([0.5, 0.0], sc, seed=0)
+        ens.covs = unwhiten(np.diag([1.0 / z, z]), sc.sigma_star)[None]
+        _, e1 = evolve_mixture(ens, WELL, DiffusionSpec(0.3, 0.5, 1.0), dt,
+                               dt)[-1]
+        st = whiten(e1.covs[0], sc.sigma_star)
+        assert abs(np.linalg.det(st) - 1.0) <= 1e-15
+        assert abs(np.linalg.eigvalsh(st).max() - z) <= 1e-12
+        assert e1.diagnostics["max_nts_violation"] == pytest.approx(
+            excess, abs=1e-12)
+
     def test_chunked_run_reproducible(self):
         diff = DiffusionSpec(0.3, 0.5, 1.0)
         sc = compute_scales(WELL, diff)
@@ -329,12 +351,41 @@ class TestEvolveMixture:
         assert np.array_equal(once.covs, again.covs)
         assert np.array_equal(once.blurs, again.blurs)
 
+    def test_resume_from_any_snapshot_is_exact(self):
+        # a whitening round trip is not exact, so a run that carried its
+        # state across steps in whitened units would drift by ulps here
+        diff = DiffusionSpec(0.3, 0.5, 1.0)
+        ens = coherent_ensemble([0.5, 0.0], compute_scales(WELL, diff),
+                                seed=21, particles=3)
+        traj = evolve_mixture(ens, WELL, diff, 0.4, 0.001, blur_cap=0.05,
+                              snapshot_times=[0.1, 0.15, 0.2, 0.25, 0.4])
+        once = traj[-1][1]
+        assert once.diagnostics["spill_count"] > 0
+        for t, half in traj[1:-1]:
+            again = evolve_mixture(half, WELL, diff, round(0.4 - t, 12),
+                                   0.001, blur_cap=0.05)[-1][1]
+            assert np.array_equal(once.alphas, again.alphas)
+            assert np.array_equal(once.covs, again.covs)
+            assert np.array_equal(once.blurs, again.blurs)
+
     def test_dt_guard(self):
         diff = DiffusionSpec(0.05, 0.05, 1.0)
         sc = compute_scales(WELL, diff)
         ens = coherent_ensemble([0.0, 0.0], sc, seed=0)
         with pytest.raises(ValueError, match="tau_H"):
             evolve_mixture(ens, WELL, diff, 1.0, sc.tau_H)
+
+    @pytest.mark.parametrize("t_final, dt, message", [
+        (0.01, -0.001, "step dt"), (0.01, 0.0, "step dt"),
+        (0.01, np.nan, "step dt"), (np.nan, 0.001, "t_final")],
+        ids=["negative-dt", "zero-dt", "nan-dt", "nan-t_final"])
+    def test_bad_step_or_horizon_refused(self, t_final, dt, message):
+        # each dt passes the tau_H / 100 guard, and a negative one would
+        # otherwise run one step of length t_final
+        diff = DiffusionSpec(0.05, 0.05, 1.0)
+        ens = coherent_ensemble([0.0, 0.0], compute_scales(WELL, diff), 0)
+        with pytest.raises(ValueError, match=f"^{message} must be positive"):
+            evolve_mixture(ens, WELL, diff, t_final, dt)
 
     def test_hbar_mismatch_refused(self):
         sc = scales_for(WELL, 0.3, 0.5)

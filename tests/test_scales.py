@@ -264,6 +264,19 @@ class TestStepSchedule:
         assert step_schedule(0.08, 0.004)[:2] == (20, 0.004)
         assert step_schedule(1.0, 3.0) == (1, 1.0, {1})
 
+    @pytest.mark.parametrize("dt", [-0.1, 0.0, math.nan])
+    def test_step_not_positive_refused(self, dt):
+        # unchecked, a negative dt would run one step of length t_final,
+        # 0 would divide by zero and NaN would fail inside math.ceil
+        with pytest.raises(ValueError, match="^step dt must be positive"):
+            step_schedule(1.0, dt)
+
+    @pytest.mark.parametrize("t_final", [math.nan, math.inf, 0.0, -1.0])
+    def test_horizon_not_positive_and_finite_refused(self, t_final):
+        with pytest.raises(ValueError,
+                           match="^t_final must be positive and finite"):
+            step_schedule(t_final, 0.1)
+
     def test_unreachable_snapshot_rejected(self):
         with pytest.raises(ValueError, match="lands"):
             step_schedule(1.0, 0.1, [0.3333])
