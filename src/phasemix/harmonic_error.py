@@ -14,9 +14,11 @@ constant mu = sqrt(3) d^(3/2) J3 ||sigma_xx||^(3/2) / hbar dominates both
 (it equals the classical constant and exceeds the quantum one).  This
 module computes the bounds for any dimension and, for d = 1, also
 evaluates the residual generators explicitly on grids so that the bounds
-can be checked numerically.  The Gaussian tau on those grids comes from
-the pipeline's own rasters: `_kernels.rasterize_density` for the density
-matrix and `_kernels.rasterize_phase` for the phase-space density.
+can be checked numerically.  One private helper, `_taylor_residual`, gives
+V - V_quad and V' - V_quad' on a grid for the expansion about the packet
+centre.  The Gaussian tau on those grids comes from the pipeline's own
+rasters: `_kernels.rasterize_density` for the density matrix and
+`_kernels.rasterize_phase` for the phase-space density.
 """
 
 import math
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .potentials import HamiltonianModel, harmonic_expansion
+from .potentials import HamiltonianModel
 
 __all__ = [
     "HarmonicErrorReport",
@@ -68,11 +70,17 @@ def _check_coverage(center: float, width: float, lo: float, hi: float,
                          f"[{lo:.3g}, {hi:.3g}]")
 
 
-def _residual_gradient(model: HamiltonianModel, a_x: float, x: np.ndarray):
-    """V'(x) minus the gradient of the quadratic expansion about a_x."""
-    quad = harmonic_expansion(model, a_x)
-    return model.potential.grad(x) - (quad.gradient
-                                      + quad.hessian * (x - quad.base_point))
+def _taylor_residual(model: HamiltonianModel, a_x: float, x: np.ndarray):
+    """(V - V_quad, V' - V_quad') on x, with V_quad the second-order Taylor
+    expansion of V about a_x, which must lie inside the model's domain."""
+    lo, hi = model.domain
+    if not lo <= a_x <= hi:
+        raise ValueError(f"expansion point {a_x} outside domain {model.domain}")
+    pot = model.potential
+    v, g, h = float(pot.value(a_x)), float(pot.grad(a_x)), float(pot.hess(a_x))
+    dx = np.asarray(x) - float(a_x)
+    return (pot.value(x) - (v + g * dx + 0.5 * h * dx**2),
+            pot.grad(x) - (g + h * dx))
 
 
 def numeric_harmonic_error_quantum(alpha, sigma, model: HamiltonianModel,
@@ -92,8 +100,7 @@ def numeric_harmonic_error_quantum(alpha, sigma, model: HamiltonianModel,
     dx = x[1] - x[0]
     _check_coverage(alpha[0], math.sqrt(sigma[0, 0]), x[0], x[-1], "x")
 
-    quad = harmonic_expansion(model, alpha[0])
-    dv = model.potential.value(x) - quad(x)
+    dv, _ = _taylor_residual(model, alpha[0], x)
     tau = _kernels.rasterize_density(x, np.ones(1), alpha[None], sigma[None],
                                      hbar)
     comm = (-1j / hbar) * (dv[:, None] - dv[None, :]) * tau
@@ -119,7 +126,7 @@ def numeric_harmonic_error_classical(alpha, sigma, model: HamiltonianModel,
     tau = _kernels.rasterize_phase(x, p, np.ones(1), alpha[None], sigma[None])
     inv = np.linalg.inv(sigma)
     lever_p = inv[1, 0] * (x - alpha[0])[:, None] + inv[1, 1] * (p - alpha[1])
-    dv_grad = _residual_gradient(model, alpha[0], x)
+    _, dv_grad = _taylor_residual(model, alpha[0], x)
     integrand = tau * lever_p * dv_grad[:, None]
     cell = (x[1] - x[0]) * (p[1] - p[0])
     return float(np.abs(integrand).sum() * cell)

@@ -60,7 +60,6 @@ __all__ = [
     "coherent_ensemble",
     "effective_z",
     "m_matrix",
-    "split_sdot",
     "evolve_mixture",
     "mixture_to_density_grid",
     "mixture_to_phase_field",
@@ -107,25 +106,6 @@ def m_matrix(sigma_tilde: np.ndarray, scales: ScaleReport,
     inv /= det[..., None, None]
     m = scales.m_rate * (st - inv) / (1.0 - z**-2)
     return 0.5 * (m + np.swapaxes(m, -1, -2))
-
-
-def split_sdot(alpha, sigma, model: HamiltonianModel,
-               diffusion: DiffusionSpec, scales: ScaleReport, z: float):
-    """Split the covariance derivative F s + s F^T + D into (S_Z, S_D).
-
-    S_Z is tangent to pure Gaussians and keeps the squeeze window
-    invariant; S_D is positive semidefinite on the window.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    lam = nts_eigenvalues(sigma, scales.sigma_star)
-    if not window_excess(lam, z) <= WINDOW_TOL:
-        raise ValueError("covariance is squeezed beyond the window "
-                         f"[{1 / z:.4g}, {z:.4g}]: eigenvalues {lam}")
-    sig_star = scales.sigma_star
-    sz, sd, _, _ = _batch_split_sdot(
-        np.asarray(alpha, dtype=float)[None], whiten(sigma, sig_star)[None],
-        model, whiten(diffusion.matrix(), sig_star), scales, z)
-    return unwhiten(sz[0], sig_star), unwhiten(sd[0], sig_star)
 
 
 def _noise_sqrt(mat: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Built-in potentials, local quadratic expansions and linearized flow.
+"""Built-in potentials, the Hamiltonian model and its linearized flow.
 
 All built-ins are one dimensional with closed-form derivatives; the set
 covers zero, constant and spatially varying third derivatives.  Potentials
@@ -29,8 +29,6 @@ __all__ = [
     "make_potential",
     "POTENTIALS",
     "HamiltonianModel",
-    "QuadraticExpansion",
-    "harmonic_expansion",
     "hamiltonian_matrix",
 ]
 
@@ -205,37 +203,6 @@ class HamiltonianModel:
         self.sup3 = float(self.potential.sup_third(lo, hi))
         if not self.sup2 > 0:
             raise ValueError("sup |V''| over the domain must be positive")
-
-    def in_domain(self, x) -> bool:
-        x = np.asarray(x)
-        return bool((x >= self.domain[0]).all() and (x <= self.domain[1]).all())
-
-
-@dataclass
-class QuadraticExpansion:
-    """Local quadratic approximation of the potential about base_point."""
-
-    base_point: float
-    value: float
-    gradient: float
-    hessian: float
-
-    def __call__(self, x):
-        dx = np.asarray(x) - self.base_point
-        return self.value + self.gradient * dx + 0.5 * self.hessian * dx**2
-
-
-def harmonic_expansion(model: HamiltonianModel, a_x: float) -> QuadraticExpansion:
-    """Second-order Taylor expansion of V about a_x (inside the domain)."""
-    if not model.in_domain(a_x):
-        raise ValueError(f"expansion point {a_x} outside domain {model.domain}")
-    pot = model.potential
-    return QuadraticExpansion(
-        base_point=float(a_x),
-        value=float(pot.value(a_x)),
-        gradient=float(pot.grad(a_x)),
-        hessian=float(pot.hess(a_x)),
-    )
 
 
 def hamiltonian_matrix(model: HamiltonianModel, alpha) -> np.ndarray:

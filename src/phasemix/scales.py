@@ -53,11 +53,12 @@ class DiffusionSpec:
     hbar: float
 
     def __post_init__(self):
-        # written as `not x >= 0` so that a NaN fails
-        if not (self.d_x >= 0 and self.d_p >= 0):
-            raise ValueError("diffusion constants must be nonnegative")
-        if not self.hbar > 0:
-            raise ValueError("hbar must be positive")
+        # written as `not lo <= x < inf` so that a NaN fails
+        if not (0 <= self.d_x < math.inf and 0 <= self.d_p < math.inf):
+            raise ValueError("diffusion constants must be nonnegative and "
+                             "finite")
+        if not 0 < self.hbar < math.inf:
+            raise ValueError("hbar must be positive and finite")
 
     def matrix(self) -> np.ndarray:
         """The 2x2 phase-space diffusion matrix diag(D_x, D_p)."""
@@ -124,9 +125,11 @@ def step_schedule(t_final: float, dt: float, snapshot_times=None):
     if not 0.0 < t_final < math.inf:
         raise ValueError(f"t_final must be positive and finite, got "
                          f"{t_final!r}")
-    times = sorted(snapshot_times) if snapshot_times else [t_final]
-    if times[0] < 0.0 or times[-1] > t_final * (1.0 + 1e-9):
+    times = list(snapshot_times) if snapshot_times else [t_final]
+    # tested one by one before sorting: `sorted` does not order a NaN
+    if not all(0.0 <= t <= t_final * (1.0 + 1e-9) for t in times):
         raise ValueError(f"snapshot times must lie in [0, {t_final!r}]")
+    times.sort()
     n0 = max(math.ceil(t_final / dt * (1.0 - 1e-9)), 1)
     for n in range(n0, 2 * n0 + 1):
         steps = [round(t * n / t_final) for t in times]
@@ -145,7 +148,7 @@ def theorem_epsilon(scales: ScaleReport, t: float, d: int,
     When the squeeze bound is infinite (no diffusion) a finite user cap
     must be supplied.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError("time must be nonnegative")
     if t == 0.0 or scales.harmonic:
         return 0.0
@@ -180,6 +183,10 @@ def diffusion_threshold(scales: ScaleReport, epsilon: float, t: float,
     """Minimal D0 for which the error budget at time t is <= epsilon."""
     if scales.harmonic:
         raise ValueError("harmonic model: the error vanishes for any D0")
+    if not t >= 0:
+        raise ValueError("time must be nonnegative")
+    if math.isnan(epsilon):
+        raise ValueError("epsilon must be a number, got nan")
     small = scales.hbar / scales.s_H
     floor = d**1.5 * (t / scales.tau_H) * math.sqrt(small)
     if epsilon < floor:
@@ -189,7 +196,7 @@ def diffusion_threshold(scales: ScaleReport, epsilon: float, t: float,
 
 def ehrenfest_time(lyapunov: float, action_scale: float, hbar: float) -> float:
     """Wavepacket-spreading timescale log(action/hbar) / lyapunov."""
-    if lyapunov <= 0 or action_scale <= 0 or hbar <= 0:
+    if not (lyapunov > 0 and action_scale > 0 and hbar > 0):
         raise ValueError("all arguments must be positive")
     if action_scale <= hbar:
         raise ValueError("action scale must exceed hbar (no semiclassical "
@@ -207,7 +214,7 @@ def physical_example_time(mass: float, velocity: float, length_scale: float,
     for name, v in [("mass", mass), ("velocity", velocity),
                     ("length_scale", length_scale),
                     ("localization_rate", localization_rate), ("hbar", hbar)]:
-        if v <= 0:
+        if not v > 0:
             raise ValueError(f"{name} must be positive")
     return (hbar * velocity**-3.5 / mass * localization_rate**1.5
             * length_scale**4.5)

@@ -15,23 +15,22 @@ import time
 import numpy as np
 import pytest
 
+from gaussian_lemmas import (covariance_eigen_pairs, gaussian_moment,
+                             gaussian_moment4, gaussian_moment6,
+                             random_pure_cov, split_sdot)
 from phasemix.config import ExperimentConfig
 from phasemix.fokker_planck import (evolve_fokker_planck,
                                     gaussian_phase_field, l1_distance,
                                     PhaseField)
-from phasemix.gaussian import (GaussianState, covariance_eigen_pairs,
-                               gaussian_moment, gaussian_moment4,
-                               gaussian_moment6, nts_eigenvalues,
-                               random_pure_cov, sigma_star, symplectic_form,
-                               whiten)
+from phasemix.gaussian import (GaussianState, nts_eigenvalues, sigma_star,
+                               symplectic_form, whiten)
 from phasemix.harmonic_error import harmonic_error_report
 from phasemix.harness import run_breakdown_demo, run_comparison
 from phasemix.langevin import (ensemble_histogram, evolve_langevin_ensemble,
                                sample_gaussian_ensemble)
 from phasemix.lindblad import (DensityMatrixGrid, gaussian_to_grid,
                                wigner_transform_grid)
-from phasemix.mixture import (MixtureEnsemble, effective_z, evolve_mixture,
-                              split_sdot)
+from phasemix.mixture import MixtureEnsemble, effective_z, evolve_mixture
 from phasemix.potentials import (Cosine, CubicHarmonic, DoubleWell,
                                  HamiltonianModel, Harmonic,
                                  hamiltonian_matrix)

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import math
@@ -57,6 +58,37 @@ def test_every_all_entry_exists(name):
     missing = [n for n in getattr(module, "__all__", ())
                if not hasattr(module, n)]
     assert not missing
+
+
+# the tests' generator oracle; it reads two private factor builders, so it
+# stays beside them in `lindblad`
+NO_PIPELINE_CALLER = {"lindblad.apply_lindbladian"}
+
+
+def test_every_all_entry_has_a_pipeline_caller():
+    # a public name that no run, CLI command or benchmark refers to is a
+    # test helper and belongs under tests/
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    paths = [os.path.join(root, "src", "phasemix", f)
+             for f in os.listdir(os.path.join(root, "src", "phasemix"))]
+    paths += [os.path.join(root, "perfbench", f)
+              for f in os.listdir(os.path.join(root, "perfbench"))
+              if not f.startswith("test_")]
+    refs = set()
+    for path in (p for p in paths if p.endswith(".py")):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.alias):
+                refs.add(node.name.rpartition(".")[2])
+    unused = {f"{m.name}.{n}" for m in pkgutil.iter_modules(phasemix.__path__)
+              for n in getattr(importlib.import_module(f"phasemix.{m.name}"),
+                               "__all__", ()) if n not in refs}
+    assert unused == NO_PIPELINE_CALLER
 
 
 def write_cfg(tmp_path, text=HARMONIC_INI, name="exp.ini"):

@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from gaussian_lemmas import gaussian_pdf
 from phasemix import _kernels
 from phasemix.fokker_planck import (
     PhaseField,
@@ -11,7 +12,6 @@ from phasemix.fokker_planck import (
     gaussian_phase_field,
     l1_distance,
 )
-from phasemix.gaussian import gaussian_pdf
 from phasemix.potentials import HamiltonianModel, Harmonic, hamiltonian_matrix
 from phasemix.scales import DiffusionSpec
 

@@ -5,18 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasemix.gaussian import (
-    GaussianState,
+from gaussian_lemmas import (
     covariance_eigen_pairs,
     gaussian_derivative_residual,
     gaussian_moment,
     gaussian_moment4,
     gaussian_moment6,
+    random_pure_cov,
+    random_symplectic,
+)
+from phasemix.gaussian import (
+    GaussianState,
     is_pure_gaussian,
     nts_eigenvalues,
     purity_defect,
-    random_pure_cov,
-    random_symplectic,
     sigma_star,
     symplectic_form,
     window_excess,

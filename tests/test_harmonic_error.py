@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phasemix.gaussian import gaussian_moment6
+from gaussian_lemmas import gaussian_moment6
 from phasemix.harmonic_error import (
     HarmonicErrorReport,
     harmonic_error_report,

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from gaussian_lemmas import random_pure_cov, split_sdot
 from phasemix import _kernels, mixture
 from phasemix.fokker_planck import l1_distance
 from phasemix.gaussian import (
     nts_eigenvalues,
-    random_pure_cov,
     symplectic_form,
     unwhiten,
     whiten,
@@ -26,7 +26,6 @@ from phasemix.mixture import (
     m_matrix,
     mixture_to_density_grid,
     mixture_to_phase_field,
-    split_sdot,
 )
 from phasemix.potentials import (
     Cosine,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from phasemix.gaussian import symplectic_form
+from phasemix.harmonic_error import _taylor_residual
 from phasemix.potentials import (
     Cosine,
     CubicHarmonic,
@@ -9,7 +10,6 @@ from phasemix.potentials import (
     HamiltonianModel,
     Harmonic,
     hamiltonian_matrix,
-    harmonic_expansion,
     make_potential,
 )
 
@@ -47,30 +47,36 @@ def test_sup_bounds_match_dense_sampling(model):
 
 
 class TestExpansion:
+    # `_taylor_residual` returns V - V_quad and V' - V_quad' for the
+    # second-order Taylor expansion V_quad about a base point
     def test_quadratic_potential_reproduced_everywhere(self):
         model = ALL_MODELS[0]
-        exp = harmonic_expansion(model, 2.5)
         xs = np.linspace(-9, 9, 50)
-        assert np.allclose(exp(xs), model.potential.value(xs), atol=1e-12)
+        dv, dg = _taylor_residual(model, 2.5, xs)
+        assert np.abs(dv).max() <= 1e-12
+        assert np.abs(dg).max() <= 1e-12
 
     def test_quartic_expansion_values(self):
-        # V = x^4 (DoubleWell with b=0 is a*x^4); use a=0.25 for x^4/4
+        # V = x^4 (DoubleWell with b=0 is a*x^4); use a=0.25 for x^4/4.
+        # About 1, V_quad = 1/4 + (x-1) + 3/2 (x-1)^2, so with d = x - 1 the
+        # residuals are d^3 + d^4/4 and 3 d^2 + d^3; three points pin the
+        # value, gradient and hessian of the expansion
         model = HamiltonianModel(1.0, DoubleWell(0.25, 0.0), (-2.0, 2.0))
-        exp = harmonic_expansion(model, 1.0)
-        assert exp.value == pytest.approx(0.25)
-        assert exp.gradient == pytest.approx(1.0)
-        assert exp.hessian == pytest.approx(3.0)
+        dv, dg = _taylor_residual(model, 1.0, np.array([0.0, 1.0, 2.0]))
+        assert dv == pytest.approx([-0.75, 0.0, 1.25], abs=1e-12)
+        assert dg == pytest.approx([2.0, 0.0, 4.0], abs=1e-12)
 
     def test_cosine_expansion_at_origin(self):
+        # V = -cos x about 0: V_quad = -1 + x^2/2
         model = ALL_MODELS[2]
-        exp = harmonic_expansion(model, 0.0)
-        assert exp.value == pytest.approx(-1.0)
-        assert exp.gradient == pytest.approx(0.0)
-        assert exp.hessian == pytest.approx(1.0)
+        xs = np.array([-np.pi / 2, np.pi / 2, np.pi])
+        dv, dg = _taylor_residual(model, 0.0, xs)
+        assert dv == pytest.approx(1.0 - xs**2 / 2.0 - np.cos(xs), abs=1e-12)
+        assert dg == pytest.approx(np.sin(xs) - xs, abs=1e-12)
 
     def test_outside_domain_rejected(self):
-        with pytest.raises(ValueError):
-            harmonic_expansion(ALL_MODELS[1], 5.0)
+        with pytest.raises(ValueError, match="outside domain"):
+            _taylor_residual(ALL_MODELS[1], 5.0, np.zeros(3))
 
 
 class TestRemainder:
@@ -91,8 +97,7 @@ class TestRemainder:
         for _ in range(10_000):
             a = rng.uniform(lo, hi)
             dx = rng.uniform(lo - a, hi - a)
-            exp = harmonic_expansion(model, a)
-            true = abs(float(model.potential.value(a + dx)) - exp(a + dx))
+            true = abs(float(_taylor_residual(model, a, a + dx)[0]))
             bound = model.sup3 * abs(dx) ** 3 / 6.0
             assert true <= bound * (1 + 1e-9) + 1e-12
 

@@ -242,6 +242,36 @@ def test_diffusion_spec_refuses_nan(args):
         DiffusionSpec(*args)
 
 
+def _well_scales():
+    return compute_scales(HamiltonianModel(1.0, DoubleWell(1.0, 1.0),
+                                           (-2.0, 2.0)),
+                          DiffusionSpec(0.01, 0.01, 0.1))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: theorem_epsilon(_well_scales(), math.nan, 1), "time"),
+    (lambda: diffusion_threshold(_well_scales(), math.nan, 1.0, 1), "epsilon"),
+    (lambda: diffusion_threshold(_well_scales(), 1.0, math.nan, 1), "time"),
+    # a negative t used to come back as a complex number
+    (lambda: diffusion_threshold(_well_scales(), 1.0, -1.0, 1), "time"),
+    (lambda: ehrenfest_time(math.nan, 1.0, 0.1), "positive"),
+    (lambda: physical_example_time(math.nan, 1.0, 1.0, 1.0, 1.0), "mass"),
+    # GaussianState refuses an infinite hbar; so does the diffusion
+    (lambda: DiffusionSpec(math.inf, 0.0, 1.0), "finite"),
+    (lambda: DiffusionSpec(0.0, math.inf, 1.0), "finite"),
+    (lambda: DiffusionSpec(0.0, 0.0, math.inf), "finite"),
+], ids=["theorem_epsilon-t", "diffusion_threshold-epsilon",
+        "diffusion_threshold-t", "diffusion_threshold-negative-t",
+        "ehrenfest_time-lyapunov",
+        "physical_example_time-mass", "DiffusionSpec-d_x",
+        "DiffusionSpec-d_p", "DiffusionSpec-hbar"])
+def test_scales_refuse_non_finite(call, message):
+    # each range test is written `not x >= 0` / `not x > 0`, so that a NaN
+    # fails it instead of coming back as a NaN result
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_diffusion_spec_hbar_has_no_default():
     # hbar sets every scale, so a missing one must not default to 1
     with pytest.raises(TypeError, match="hbar"):
@@ -282,3 +312,11 @@ class TestStepSchedule:
             step_schedule(1.0, 0.1, [0.3333])
         with pytest.raises(ValueError, match="snapshot times"):
             step_schedule(1.0, 0.1, [0.5, 1.5])
+
+    @pytest.mark.parametrize("snaps", [[math.nan, 0.5], [0.5, math.nan]],
+                             ids=["nan-first", "nan-last"])
+    def test_nan_snapshot_refused(self, snaps):
+        # each time is tested before sorting; `sorted` does not order a NaN
+        with pytest.raises(ValueError,
+                           match=r"^snapshot times must lie in \[0, 1.0\]"):
+            step_schedule(1.0, 0.1, snaps)

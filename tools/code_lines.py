@@ -3,10 +3,12 @@
 A code line holds at least one token that is neither a comment nor part of
 a docstring; blank, comment-only and docstring lines do not count.  A
 token that spans several lines (a long string) counts each of them.
-Prints the count per module and the total for `src/phasemix`.  Uses only
-the standard library:
+Prints the count per module and the total of each directory given
+(default: `src/phasemix`), then, for more than one, the grand total; a
+change that moves code, say into `tests`, shows both sides that way.  Uses
+only the standard library:
 
-    python3 tools/code_lines.py [package_dir]
+    python3 tools/code_lines.py [dir ...]
 """
 
 import ast
@@ -45,14 +47,19 @@ def code_lines(path):
 
 
 def main(argv):
-    root = Path(argv[1] if len(argv) > 1 else
-                Path(__file__).resolve().parent.parent / "src" / "phasemix")
-    total = 0
-    for path in sorted(root.glob("*.py")):
-        n = code_lines(path)
-        total += n
-        print(f"{n:6d}  {path.name}")
-    print(f"{total:6d}  total ({root})")
+    roots = [Path(a) for a in argv[1:]] or [
+        Path(__file__).resolve().parent.parent / "src" / "phasemix"]
+    grand = 0
+    for root in roots:
+        total = 0
+        for path in sorted(root.glob("*.py")):
+            n = code_lines(path)
+            total += n
+            print(f"{n:6d}  {path.name}")
+        print(f"{total:6d}  total ({root})")
+        grand += total
+    if len(roots) > 1:
+        print(f"{grand:6d}  total ({', '.join(map(str, roots))})")
     return 0
 
 
