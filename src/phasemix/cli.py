@@ -4,7 +4,8 @@ Each subcommand but `physical-example` reads an experiment config (INI)
 named by --config, which sets every experiment value, the seed included;
 the one other flag is --out, the output directory (default: the current
 one).  `physical-example` takes only --out.  A config that cannot be read
-or is invalid ends the run with one line on stderr and exit status 2.
+or is invalid, or an output directory that cannot be made, ends the run
+with one line on stderr and exit status 2.
 A subcommand runs the requested report, or one solver leg of
 `harness.Experiment`, prints a text summary, and writes CSV files with
 fixed column orders into the output directory.  The `evolve-*`
@@ -181,7 +182,11 @@ def main(argv=None):
         except (OSError, ValueError) as exc:
             print(f"phasemix: error: {args.config}: {exc}", file=sys.stderr)
             return 2
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"phasemix: error: {args.out}: {exc}", file=sys.stderr)
+        return 2
     return COMMANDS[args.command](cfg, args.out)
 
 

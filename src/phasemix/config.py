@@ -5,6 +5,9 @@ noise ([diffusion]), the initial coherent state ([initial]), the solver
 grids and step sizes ([numerics]), and run flags ([flags]).  Each option
 is declared once, as an `ExperimentConfig` field: its annotation sets how
 the INI text is read, and a field without a default is a required option.
+The annotations name five value kinds: str, int, float, a float or None
+(`none`, `auto` or an empty value) and a tuple of floats; no option is a
+boolean.
 Parsing either produces a fully validated `ExperimentConfig` or raises a
 ValueError naming the section and option at fault.  The checks run when
 an `ExperimentConfig` is built, so one built in Python meets the same
@@ -61,7 +64,6 @@ class ExperimentConfig:
     seed: int = 0
     z_cap: Optional[float] = None
     blur_cap: Optional[float] = None
-    effective_diffusion: bool = False
     margin: float = 0.10
 
     def __post_init__(self):
@@ -121,17 +123,9 @@ class ExperimentConfig:
 
     def build_diffusion(self, model: Optional[HamiltonianModel] = None
                         ) -> DiffusionSpec:
-        """Diffusion constants, applying the opt-in substitution.
-
-        With `effective_diffusion` set, a vanishing position coupling is
-        replaced by the dimensional estimate d_x = d_p / (J2 m), the
-        heuristic for baths that only localize in position.
-        """
-        d_x = self.d_x
-        if self.effective_diffusion:
-            model = model or self.build_model()
-            d_x = max(d_x, self.d_p / (model.sup2 * model.mass))
-        return DiffusionSpec(d_x, self.d_p, self.hbar)
+        """The [diffusion] constants.  `model` is ignored; it stays because
+        the benchmark's callers pass one."""
+        return DiffusionSpec(self.d_x, self.d_p, self.hbar)
 
 
 # INI sections in file order, each naming its ExperimentConfig fields in
@@ -142,12 +136,12 @@ _SECTIONS = {
     "initial": ("x0", "p0"),
     "numerics": ("t_final", "dt_quantum", "n_grid", "n_phase", "p_min",
                  "p_max", "particles", "samples", "snapshots", "edge_tol"),
-    "flags": ("seed", "z_cap", "blur_cap", "effective_diffusion", "margin"),
+    "flags": ("seed", "z_cap", "blur_cap", "margin"),
 }
 _OPTION = {"x0": "x", "p0": "p"}
 _FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 assert [n for ns in _SECTIONS.values() for n in ns] == list(_FIELDS)
-_KIND_NAME = {str: "str", bool: "bool", int: "int", float: "float",
+_KIND_NAME = {str: "str", int: "int", float: "float",
               Optional[float]: "float or None",
               Tuple[float, ...]: "tuple of floats"}
 
@@ -172,12 +166,10 @@ def _convert(section, option, raw, kind):
             return None
         kind = get_args(kind)[0]
     try:
-        if kind is bool:
-            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         if get_origin(kind) is tuple:
             return tuple(float(v) for v in raw.replace(",", " ").split())
         return kind(raw)
-    except (KeyError, ValueError):
+    except ValueError:
         raise ValueError(f"[{section}] {option}: cannot parse {raw!r} as "
                          f"{getattr(kind, '__name__', kind)}") from None
 

@@ -3,7 +3,11 @@
 Conventions: phase-space vectors are ordered (x_1..x_d, p_1..p_d); the
 symplectic form is Omega = [[0, I], [-I, 0]].  A covariance matrix sigma
 belongs to a pure Gaussian state iff (2/hbar)*sigma is symplectic, in which
-case its eigenvalues come in pairs (lam, (hbar/2)^2 / lam).  The helpers of
+case its eigenvalues come in pairs (lam, (hbar/2)^2 / lam).  Every Gaussian
+input of the pipeline is checked by building a `GaussianState` (finite,
+symmetric positive definite, hbar positive and finite), and
+`GaussianState.check_covered` is the one grid-coverage rule: a grid must
+reach six standard deviations past the mean on either side.  The helpers of
 the lemma checks (moments, eigen-pairs, the derivative identity, random
 symplectic matrices) live in tests/gaussian_lemmas.py.
 """
@@ -81,6 +85,15 @@ class GaussianState:
     @property
     def d(self) -> int:
         return self.mean.size // 2
+
+    def check_covered(self, lo: float, hi: float, axis: int = 0) -> None:
+        """Refuse a grid [lo, hi] along `axis` that misses the mean +- 6
+        standard deviations; written so that a NaN bound fails it."""
+        c, sd = self.mean[axis], np.sqrt(self.cov[axis, axis])
+        if not (lo <= c - 6.0 * sd and c + 6.0 * sd <= hi):
+            raise ValueError(f"grid too small: [{lo:.3g}, {hi:.3g}] must "
+                             f"cover the mean {c:.3g} +- 6 standard "
+                             f"deviations ({6.0 * sd:.3g}) along axis {axis}")
 
 
 def purity_defect(cov: np.ndarray, hbar: float) -> float:

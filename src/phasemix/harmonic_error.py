@@ -18,7 +18,11 @@ can be checked numerically.  One private helper, `_taylor_residual`, gives
 V - V_quad and V' - V_quad' on a grid for the expansion about the packet
 centre.  The Gaussian tau on those grids comes from the pipeline's own
 rasters: `_kernels.rasterize_density` for the density matrix and
-`_kernels.rasterize_phase` for the phase-space density.
+`_kernels.rasterize_phase` for the phase-space density.  Each bound
+validates sigma, and each numeric (alpha, sigma), as a `GaussianState`;
+a numeric also refuses a grid that does not reach six standard
+deviations past the mean on either side (`GaussianState.check_covered`,
+in x and, for the classical one, in p).
 """
 
 import math
@@ -27,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .gaussian import GaussianState
 from .potentials import HamiltonianModel
 
 __all__ = [
@@ -42,9 +47,8 @@ BOUND_TOL = 0.05        # share by which numerics may exceed a bound
 
 
 def _sigma_xx_norm(sigma: np.ndarray, d: int) -> float:
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != (2 * d, 2 * d):
-        raise ValueError(f"covariance must be {2 * d}x{2 * d}")
+    # a centred `GaussianState` checks sigma's shape (2d x 2d) and values
+    sigma = GaussianState(np.zeros(2 * d), sigma).cov
     return float(np.linalg.eigvalsh(sigma[:d, :d]).max())
 
 
@@ -62,12 +66,12 @@ def lemma_bound_classical(sigma, model: HamiltonianModel, hbar: float,
     return math.sqrt(3.0 * d**3) * model.sup3 * norm**1.5 / hbar
 
 
-def _check_coverage(center: float, width: float, lo: float, hi: float,
-                    what: str):
-    if center - 6.0 * width < lo or center + 6.0 * width > hi:
-        raise ValueError(f"grid does not cover the Gaussian in {what}: "
-                         f"need {center} +- {6 * width:.3g} inside "
-                         f"[{lo:.3g}, {hi:.3g}]")
+def _state_1d(alpha, sigma, hbar: float = 1.0) -> GaussianState:
+    """The numerics' Gaussian, validated by `GaussianState`; d = 1 only."""
+    state = GaussianState(alpha, sigma, hbar)
+    if state.d != 1:
+        raise ValueError("numeric check is implemented for d = 1 only")
+    return state
 
 
 def _taylor_residual(model: HamiltonianModel, a_x: float, x: np.ndarray):
@@ -92,16 +96,13 @@ def numeric_harmonic_error_quantum(alpha, sigma, model: HamiltonianModel,
     `_kernels.rasterize_density`, and returns the sum of the absolute
     eigenvalues (trace norm with the grid measure).
     """
-    alpha = np.asarray(alpha, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != (2, 2):
-        raise ValueError("numeric check is implemented for d = 1 only")
+    g = _state_1d(alpha, sigma, hbar)
     x = np.asarray(grid, dtype=float)
     dx = x[1] - x[0]
-    _check_coverage(alpha[0], math.sqrt(sigma[0, 0]), x[0], x[-1], "x")
+    g.check_covered(x[0], x[-1])
 
-    dv, _ = _taylor_residual(model, alpha[0], x)
-    tau = _kernels.rasterize_density(x, np.ones(1), alpha[None], sigma[None],
+    dv, _ = _taylor_residual(model, g.mean[0], x)
+    tau = _kernels.rasterize_density(x, np.ones(1), g.mean[None], g.cov[None],
                                      hbar)
     comm = (-1j / hbar) * (dv[:, None] - dv[None, :]) * tau
     return float(np.abs(np.linalg.eigvalsh(comm * dx)).sum())
@@ -115,18 +116,16 @@ def numeric_harmonic_error_classical(alpha, sigma, model: HamiltonianModel,
     mismatch of the quadratic expansion; `grid` is an (x, p) pair of
     cell-centered axes.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != (2, 2):
-        raise ValueError("numeric check is implemented for d = 1 only")
-    x, p = (np.asarray(g, dtype=float) for g in grid)
-    _check_coverage(alpha[0], math.sqrt(sigma[0, 0]), x[0], x[-1], "x")
-    _check_coverage(alpha[1], math.sqrt(sigma[1, 1]), p[0], p[-1], "p")
+    g = _state_1d(alpha, sigma)
+    x, p = (np.asarray(axis, dtype=float) for axis in grid)
+    g.check_covered(x[0], x[-1], 0)
+    g.check_covered(p[0], p[-1], 1)
 
-    tau = _kernels.rasterize_phase(x, p, np.ones(1), alpha[None], sigma[None])
-    inv = np.linalg.inv(sigma)
-    lever_p = inv[1, 0] * (x - alpha[0])[:, None] + inv[1, 1] * (p - alpha[1])
-    _, dv_grad = _taylor_residual(model, alpha[0], x)
+    a_x, a_p = g.mean
+    tau = _kernels.rasterize_phase(x, p, np.ones(1), g.mean[None], g.cov[None])
+    inv = np.linalg.inv(g.cov)
+    lever_p = inv[1, 0] * (x - a_x)[:, None] + inv[1, 1] * (p - a_p)
+    _, dv_grad = _taylor_residual(model, a_x, x)
     integrand = tau * lever_p * dv_grad[:, None]
     cell = (x[1] - x[0]) * (p[1] - p[0])
     return float(np.abs(integrand).sum() * cell)

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fokker_planck import PhaseField
+from .gaussian import GaussianState
 from .potentials import HamiltonianModel
 from .rng import LANGEVIN_STREAM, stream_normals, stream_signs
 from .scales import DiffusionSpec, step_schedule
@@ -73,11 +74,12 @@ def sample_gaussian_ensemble(mean, cov, m: int, seed: int) -> LangevinEnsemble:
     """Draw M phase-space points from a Gaussian via the counter-based RNG.
 
     The noise is step 0 of the Langevin stream, which no step of
-    `evolve_langevin_ensemble` uses.
+    `evolve_langevin_ensemble` uses.  The Gaussian is checked by
+    `GaussianState`.
     """
-    factor = np.linalg.cholesky(np.asarray(cov, float))
-    pts = np.asarray(mean, float) + stream_normals(
-        seed, LANGEVIN_STREAM, 0, (m, 2)) @ factor.T
+    g = GaussianState(mean, cov)
+    factor = np.linalg.cholesky(g.cov)
+    pts = g.mean + stream_normals(seed, LANGEVIN_STREAM, 0, (m, 2)) @ factor.T
     return LangevinEnsemble(pts[:, 0], pts[:, 1], seed)
 
 

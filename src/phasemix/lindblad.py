@@ -99,8 +99,8 @@ class DensityMatrixGrid:
         self.rho = np.asarray(self.rho, dtype=complex)
         if self.rho.shape != (self.x.size, self.x.size):
             raise ValueError("rho must be N x N for an N-point grid")
-        if not self.hbar > 0:
-            raise ValueError("hbar must be positive")
+        if not 0.0 < self.hbar < np.inf:
+            raise ValueError("hbar must be positive and finite")
 
     @property
     def n(self) -> int:
@@ -203,17 +203,14 @@ def gaussian_to_grid(state: GaussianState, n: int, x_min: float,
     raster, so a one-particle mixture rasterized on this grid equals it
     bit for bit; its trace is 1 to round-off for a covered state.  The
     covariance must satisfy the purity relation
-    s_pp = (hbar^2/4 + s_xp^2) / s_xx; the grid must cover the mean by at
-    least six position standard deviations on each side.
+    s_pp = (hbar^2/4 + s_xp^2) / s_xx; the grid must cover the state in
+    position (`GaussianState.check_covered`).
     """
     if state.d != 1:
         raise ValueError("position-grid states are one dimensional")
     if not is_pure_gaussian(state.cov, state.hbar):
         raise ValueError("state is not pure; cannot realize a wavefunction")
-    sd = math.sqrt(state.cov[0, 0])
-    if state.mean[0] - 6.0 * sd < x_min or state.mean[0] + 6.0 * sd > x_max:
-        raise ValueError("grid too small: must cover the mean +- 6 position "
-                         "standard deviations")
+    state.check_covered(x_min, x_max)
     x = x_min + (x_max - x_min) * np.arange(n) / n
     return DensityMatrixGrid(x, _kernels.rasterize_density(
         x, np.ones(1), state.mean[None], state.cov[None], state.hbar),

@@ -45,8 +45,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fokker_planck import PhaseField
-from .gaussian import (PURITY_TOL, nts_eigenvalues, unwhiten, whiten,
-                       window_excess)
+from .gaussian import (PURITY_TOL, GaussianState, nts_eigenvalues, unwhiten,
+                       whiten, window_excess)
 from .lindblad import DensityMatrixGrid
 from .potentials import HamiltonianModel, hamiltonian_matrix
 from .rng import stream_normals
@@ -142,7 +142,7 @@ class MixtureEnsemble:
         self.covs = np.asarray(self.covs, dtype=float)
         self.blurs = np.asarray(self.blurs, dtype=float)
         m = self.weights.size
-        n = self.alphas.shape[1]
+        n = self.alphas.shape[1] if self.alphas.ndim == 2 else 0
         if self.alphas.shape != (m, n) or self.covs.shape != (m, n, n) \
                 or self.blurs.shape != (m, n, n):
             raise ValueError("inconsistent particle array shapes")
@@ -184,11 +184,12 @@ class MixtureEnsemble:
 def coherent_ensemble(alpha, scales: ScaleReport, seed: int,
                       particles: int = 1) -> MixtureEnsemble:
     """`particles` equal-weight copies of the coherent state at alpha (the
-    theorem's initial state), with no blur."""
+    theorem's initial state), with no blur; checked by `GaussianState`."""
+    g = GaussianState(alpha, scales.sigma_star, scales.hbar)
     return MixtureEnsemble(
         weights=np.full(particles, 1.0 / particles),
-        alphas=np.tile(np.asarray(alpha, dtype=float), (particles, 1)),
-        covs=np.tile(scales.sigma_star, (particles, 1, 1)),
+        alphas=np.tile(g.mean, (particles, 1)),
+        covs=np.tile(g.cov, (particles, 1, 1)),
         blurs=np.zeros((particles, 2, 2)), hbar=scales.hbar, seed=seed)
 
 

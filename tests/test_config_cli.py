@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import phasemix
-from phasemix import harness
+from phasemix import cli, harness
 from phasemix.cli import main
 from phasemix.config import ExperimentConfig, parse_config
 from phasemix.fokker_planck import MASS_TOL
@@ -211,17 +211,6 @@ class TestConfig:
                                   mass=np.float64(2.0),
                                   params=(np.float64(1.0),))
         assert cfg.particles == 7 and cfg.mass == 2.0
-
-    def test_effective_diffusion_substitution(self):
-        base = parse_config(HARMONIC_INI)
-        cfg = parse_config(HARMONIC_INI.replace(
-            "d_x = 0.05", "d_x = 0.0").replace(
-            "[flags]", "[flags]\neffective_diffusion = true"))
-        model = cfg.build_model()
-        assert base.build_diffusion().d_x == 0.05
-        # d_x replaced by d_p / (J2 m)
-        assert cfg.build_diffusion(model).d_x == pytest.approx(
-            0.05 / (model.sup2 * model.mass))
 
     def test_optional_fields_round_trip(self):
         text = HARMONIC_INI.replace("[flags]",
@@ -474,3 +463,29 @@ class TestCLI:
         assert fragment in err and "Traceback" not in err
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "r").exists()
+
+    def test_bad_out_is_one_line(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "taken"
+        out.write_text("a file, not a directory")
+        assert self.run("scales", "--config", cfg, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"phasemix: error: {out}: ")
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+def _readme_blocks(lang):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        return re.findall(rf"^```{lang}\n(.*?)^```", fh.read(), re.M | re.S)
+
+
+def test_readme_matches_the_config_and_the_cli():
+    # a renamed or removed option or subcommand fails here until the
+    # README follows
+    (ini,) = _readme_blocks("ini")
+    parse_config(ini)
+    commands = {line.split()[1] for block in _readme_blocks("sh")
+                for line in block.splitlines()
+                if line.startswith("phasemix ")}
+    assert commands == set(cli.COMMANDS)

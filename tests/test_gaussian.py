@@ -206,3 +206,21 @@ def test_state_refuses_non_finite(mean, cov_00, hbar, fragment):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=fragment):
             GaussianState(mean, [[cov_00, 0.0], [0.0, 1.0]], hbar)
+
+
+@pytest.mark.parametrize("lo, hi, axis, covered", [
+    (-6.0, 6.0, 0, True),       # exactly 6 standard deviations
+    (-5.9, 6.0, 0, False),
+    (-6.0, 5.9, 0, False),
+    (np.nan, 6.0, 0, False),    # a nan bound fails the test
+    (-6.0, np.nan, 0, False),
+    (-12.0, 12.0, 1, True),     # sd 2 along p
+    (-12.0, 11.9, 1, False),
+])
+def test_check_covered(lo, hi, axis, covered):
+    state = GaussianState([0.0, 0.0], np.diag([1.0, 4.0]))
+    if covered:
+        state.check_covered(lo, hi, axis)
+    else:
+        with pytest.raises(ValueError, match="grid too small.*cover"):
+            state.check_covered(lo, hi, axis)

@@ -78,6 +78,18 @@ class TestBounds:
         with pytest.raises(ValueError):
             lemma_bound_quantum(np.eye(4), CUBIC, 1.0, 1)
 
+    @pytest.mark.parametrize("sigma, fragment", [
+        ([[np.nan, 0.0], [0.0, 1.0]], "covariance must be finite"),
+        ([[-1.0, 0.0], [0.0, 1.0]], "covariance must be positive definite"),
+        ([[1.0, 0.0], [5e-3, 1.0]], "not symmetric"),
+    ], ids=["nan", "negative", "asymmetric"])
+    def test_bounds_refuse_a_bad_sigma(self, sigma, fragment):
+        # unchecked, these gave a nan bound, a complex one, and a bound
+        # for a matrix that is no covariance
+        for bound in (lemma_bound_quantum, lemma_bound_classical):
+            with pytest.raises(ValueError, match=fragment):
+                bound(np.array(sigma), CUBIC, 1.0, 1)
+
 
 class TestNumericQuantum:
     def test_quadratic_is_zero(self):
@@ -158,6 +170,31 @@ class TestNumericClassical:
         p = np.linspace(-0.1, 0.1, 64)
         with pytest.raises(ValueError, match="cover"):
             numeric_harmonic_error_classical([0.0, 0.0], sig, CUBIC, (x, p))
+
+
+class TestInputs:
+    # the bounds and the numerics each build a GaussianState
+    def test_report_refuses_nan_sigma_pp(self):
+        # unchecked, it read numeric_quantum 0 and numeric_classical nan,
+        # and the report's validate() passed
+        sig = pure_cov(0.4, 1.0)
+        x, p = grids([0.0, 0.0], sig)
+        sig[1, 1] = np.nan
+        with pytest.raises(ValueError, match="covariance must be finite"):
+            harmonic_error_report([0.0, 0.0], sig, CUBIC, 1.0, x, p)
+
+    @pytest.mark.parametrize("numeric", [
+        lambda sig, x, p: numeric_harmonic_error_quantum(
+            [0.0, 0.0], sig, CUBIC, 1.0, x),
+        lambda sig, x, p: numeric_harmonic_error_classical(
+            [0.0, 0.0], sig, CUBIC, (x, p)),
+    ], ids=["quantum", "classical"])
+    def test_numerics_refuse_asymmetric_sigma(self, numeric):
+        sig = pure_cov(0.4, 1.0)
+        x, p = grids([0.0, 0.0], sig)
+        sig[1, 0] = 5e-3
+        with pytest.raises(ValueError, match="not symmetric"):
+            numeric(sig, x, p)
 
 
 class TestDominance:

@@ -193,6 +193,19 @@ def test_harmonic_diffusion_covariance_oracle():
     assert np.abs(got - sol).max() < 3.0 * se + 2.0 * dt * np.abs(sol).max()
 
 
+@pytest.mark.parametrize("mean, cov, fragment", [
+    ([np.nan, 0.0], 0.2 * np.eye(2), "mean must be finite"),
+    ([0.0, 0.0], [[np.nan, 0.0], [0.0, 0.2]], "covariance must be finite"),
+    ([0.0, 0.0], [[0.2, 0.3], [0.3, 0.2]],
+     "covariance must be positive definite"),
+], ids=["nan-mean", "nan-cov", "indefinite-cov"])
+def test_sample_refuses_bad_gaussian(mean, cov, fragment):
+    # the Gaussian is a GaussianState; unchecked, a nan mean gave nan
+    # particles and an indefinite covariance numpy's LinAlgError
+    with pytest.raises(ValueError, match=fragment):
+        sample_gaussian_ensemble(mean, cov, 10, seed=0)
+
+
 def test_chunked_run_matches_single_shot():
     diff = DiffusionSpec(0.05, 0.05, 1.0)
     for m in (1000, langevin.BLOCK + 1000):

@@ -48,6 +48,12 @@ def test_grid_refuses_nan_hbar():
         DensityMatrixGrid(x, np.eye(4), np.nan)
 
 
+def test_grid_refuses_inf_hbar():
+    x = np.linspace(-1.0, 1.0, 4)
+    with pytest.raises(ValueError, match="hbar must be positive and finite"):
+        DensityMatrixGrid(x, np.eye(4), np.inf)
+
+
 def coherent_grid(mean=(0.0, 0.0), n=256, box=12.0, a_H=1.0, hbar=1.0):
     st = GaussianState(np.asarray(mean, float), sigma_star(a_H, hbar), hbar)
     return gaussian_to_grid(st, n, -box, box)

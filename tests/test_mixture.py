@@ -678,6 +678,19 @@ class TestValidation:
         ens.validate(sc.sigma_star, effective_z(sc, z_cap=2.0))
 
 
+    def test_coherent_ensemble_refuses_nan_centre(self):
+        sc = compute_scales(HARMONIC, DiffusionSpec(0.05, 0.05, 1.0))
+        with pytest.raises(ValueError, match="mean must be finite"):
+            coherent_ensemble([np.nan, 0.0], sc, seed=0)
+
+    def test_one_dimensional_alphas_refused(self):
+        with pytest.raises(ValueError,
+                           match="inconsistent particle array shapes"):
+            MixtureEnsemble(weights=[1.0], alphas=[0.5, 0.0],
+                            covs=np.eye(2)[None], blurs=np.zeros((1, 2, 2)),
+                            hbar=1.0, seed=0)
+
+
 class TestMoments:
     def test_one_particle_is_its_own_gaussian(self):
         cov = random_pure_cov(1, 1.0, 1.0, np.random.default_rng(5))
