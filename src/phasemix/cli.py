@@ -44,7 +44,7 @@ def _save(out, name, header, rows):
 def cmd_scales(cfg, out):
     rep = Experiment.from_config(cfg).scales
     try:
-        eps = theorem_epsilon(rep, cfg.t_final, 1, cfg.z_cap)
+        eps = theorem_epsilon(rep, cfg.t_final, cfg.z_cap)
     except ValueError:  # budget_z: D0 = 0 and no z_cap
         eps = math.inf
     for name, v in [("tau_H", rep.tau_H), ("a_H", rep.a_H), ("s_H", rep.s_H),

@@ -12,7 +12,8 @@ Leer MUSCL update of the fractional Courant number, outflow boundaries);
 D is exact for the Neumann-discretized Laplacian.  All three are stable
 and positive at any step, so the step is set by accuracy alone; there is
 no CFL limit.  Outflow mass leakage is monitored and aborts the run past
-`LEAK_TOL`.
+`LEAK_TOL`; at each snapshot, a field that dips below -`UNDERSHOOT_TOL`
+aborts it too.
 """
 
 import math
@@ -33,8 +34,9 @@ __all__ = [
 ]
 
 LEAK_TOL = 1e-4         # a run aborts once this share of the mass has left
-MASS_TOL = 1e-6         # assert_probability: the mass may miss 1,
-UNDERSHOOT_TOL = 1e-9   # and the values dip below 0, by these
+MASS_TOL = 1e-6         # assert_probability: the mass may miss 1 by this
+UNDERSHOOT_TOL = 1e-9   # the values may dip below 0 by this (also at each
+                        # snapshot of `evolve_fokker_planck`)
 
 
 @dataclass
@@ -95,7 +97,7 @@ class PhaseField:
 def gaussian_phase_field(mean, cov, x: np.ndarray, p: np.ndarray) -> PhaseField:
     """Gaussian density on the ascending (x, p) grid, one particle of
     `_kernels.rasterize_phase`; `cov` must be symmetric positive definite."""
-    g = GaussianState(mean, np.reshape(cov, (2, 2)))
+    g = GaussianState(mean, cov)
     return PhaseField(x, p, _kernels.rasterize_phase(
         x, p, np.ones(1), g.mean[None], g.cov[None]))
 
@@ -139,7 +141,8 @@ def evolve_fokker_planck(f0: PhaseField, model: HamiltonianModel,
     Any `dt` is stable; the step actually taken is `step_schedule`'s, at
     most `dt`.  Returns a list of (t, PhaseField) snapshots (t = 0
     included).  Aborts when outflow through the boundary exceeds
-    `LEAK_TOL` of the mass, or is NaN.
+    `LEAK_TOL` of the mass, or is NaN, and when a snapshot's smallest value
+    is below -`UNDERSHOOT_TOL`, or is NaN.
     """
     n_steps, dt, snap_steps = step_schedule(t_final, dt, snapshot_times)
     vals = np.ascontiguousarray(f0.values.copy())
@@ -169,5 +172,9 @@ def evolve_fokker_planck(f0: PhaseField, model: HamiltonianModel,
                 f"step {step}: boundary mass leak {leak:.3g} exceeds "
                 f"{LEAK_TOL}; enlarge the phase-space box")
         if step in snap_steps:
+            low = vals.min()
+            if not low >= -UNDERSHOOT_TOL:
+                raise RuntimeError(f"step {step}: field undershoots to "
+                                   f"{low:.3g}")
             out.append((step * dt, PhaseField(f0.x, f0.p, vals.copy())))
     return out

@@ -1,15 +1,19 @@
-"""Gaussian-state and symplectic-matrix primitives that a run uses.
+"""Gaussian-state primitives that a run uses.
 
-Conventions: phase-space vectors are ordered (x_1..x_d, p_1..p_d); the
-symplectic form is Omega = [[0, I], [-I, 0]].  A covariance matrix sigma
-belongs to a pure Gaussian state iff (2/hbar)*sigma is symplectic, in which
-case its eigenvalues come in pairs (lam, (hbar/2)^2 / lam).  Every Gaussian
-input of the pipeline is checked by building a `GaussianState` (finite,
-symmetric positive definite, hbar positive and finite), and
-`GaussianState.check_covered` is the one grid-coverage rule: a grid must
-reach six standard deviations past the mean on either side.  The helpers of
-the lemma checks (moments, eigen-pairs, the derivative identity, random
-symplectic matrices) live in tests/gaussian_lemmas.py.
+The package runs in one dimension: a phase-space point is (x, p) and a
+covariance is 2 x 2.  `GaussianState` decides this for every Gaussian input
+of the pipeline: it refuses a mean that is not one (x, p) pair, a
+covariance that is not 2 x 2, finite, symmetric and positive definite, and
+an hbar that is not positive and finite.  `GaussianState.check_covered` is
+the one grid-coverage rule: a grid must reach six standard deviations past
+the mean on either side.
+
+A covariance sigma belongs to a pure Gaussian state iff (2/hbar) sigma is
+symplectic.  A 2 x 2 matrix is symplectic iff its determinant is 1, so the
+one purity formula is `purity_defect` = |det sigma / (hbar/2)^2 - 1|, on one
+matrix or a stack.  The d-general symplectic form and defect, and the other
+helpers of the lemma checks (moments, eigen-pairs, the derivative identity,
+random symplectic matrices), live in tests/gaussian_lemmas.py.
 """
 
 from dataclasses import dataclass
@@ -17,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "symplectic_form",
     "GaussianState",
     "is_pure_gaussian",
     "purity_defect",
@@ -30,36 +33,25 @@ __all__ = [
 
 SYMMETRY_RTOL = 1e-12   # |cov - cov^T| may reach 10x this of max |cov|
 # largest purity_defect of a pure covariance; the only purity tolerance
-# (`MixtureEnsemble.validate` holds its d = 1 determinant defect to it)
 PURITY_TOL = 1e-8
 
 
-def symplectic_form(d: int) -> np.ndarray:
-    """The 2d x 2d antisymmetric form Omega with Omega^2 = -I."""
-    eye = np.eye(d)
-    zero = np.zeros((d, d))
-    omega = np.block([[zero, eye], [-eye, zero]])
-    # construction-time sanity assertions
-    assert np.array_equal(omega @ omega, -np.eye(2 * d))
-    assert np.array_equal(omega.T, -omega)
-    return omega
-
-
-def sigma_star(a_H: float, hbar: float, d: int = 1) -> np.ndarray:
-    """Coherent-state covariance: diag(hbar/(2 a_H) I, hbar a_H / 2 I)."""
-    return np.diag(np.concatenate([np.full(d, hbar / (2.0 * a_H)),
-                                   np.full(d, hbar * a_H / 2.0)]))
+def sigma_star(a_H: float, hbar: float) -> np.ndarray:
+    """Coherent-state covariance diag(hbar / (2 a_H), hbar a_H / 2)."""
+    return np.diag([hbar / (2.0 * a_H), hbar * a_H / 2.0])
 
 
 def _check_symmetric(cov: np.ndarray) -> None:
-    scale = max(np.abs(cov).max(), 1e-300)
-    if not np.abs(cov - cov.T).max() <= SYMMETRY_RTOL * scale * 10:
+    """Refuse a matrix, or any matrix of a stack, that is not symmetric."""
+    scale = np.maximum(np.abs(cov).max(axis=(-2, -1)), 1e-300)
+    asym = np.abs(cov - np.swapaxes(cov, -1, -2)).max(axis=(-2, -1))
+    if not (asym <= SYMMETRY_RTOL * scale * 10).all():
         raise ValueError("covariance matrix is not symmetric")
 
 
 @dataclass
 class GaussianState:
-    """A Gaussian state: phase-space mean plus 2d x 2d covariance matrix."""
+    """A Gaussian state: phase-space mean (x, p) plus 2 x 2 covariance."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -68,10 +60,10 @@ class GaussianState:
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float)
         self.cov = np.asarray(self.cov, dtype=float)
-        if self.mean.ndim != 1 or self.mean.size % 2:
-            raise ValueError("mean must be a 2d-vector (x block then p block)")
-        if self.cov.shape != (self.mean.size, self.mean.size):
-            raise ValueError("covariance shape does not match mean")
+        if self.mean.shape != (2,):
+            raise ValueError("mean must be one phase-space point (x, p)")
+        if self.cov.shape != (2, 2):
+            raise ValueError("covariance must be 2 x 2")
         if not np.isfinite(self.mean).all():
             raise ValueError("mean must be finite")
         if not np.isfinite(self.cov).all():
@@ -81,10 +73,6 @@ class GaussianState:
         _check_symmetric(self.cov)
         if not np.linalg.eigvalsh(self.cov).min() > 0:
             raise ValueError("covariance must be positive definite")
-
-    @property
-    def d(self) -> int:
-        return self.mean.size // 2
 
     def check_covered(self, lo: float, hi: float, axis: int = 0) -> None:
         """Refuse a grid [lo, hi] along `axis` that misses the mean +- 6
@@ -97,13 +85,11 @@ class GaussianState:
 
 
 def purity_defect(cov: np.ndarray, hbar: float) -> float:
-    """Max-norm deviation of (2 cov/hbar) from the symplectic condition."""
+    """max |det cov / (hbar/2)^2 - 1| over one 2 x 2 covariance or a stack
+    (..., 2, 2): how far (2 cov / hbar) is from symplectic."""
     cov = np.asarray(cov, dtype=float)
     _check_symmetric(cov)
-    d = cov.shape[0] // 2
-    omega = symplectic_form(d)
-    a = 2.0 * cov / hbar
-    return np.abs(a.T @ omega @ a - omega).max()
+    return float(np.abs(np.linalg.det(cov) / (hbar / 2.0) ** 2 - 1.0).max())
 
 
 def is_pure_gaussian(cov: np.ndarray, hbar: float) -> bool:
@@ -113,7 +99,7 @@ def is_pure_gaussian(cov: np.ndarray, hbar: float) -> bool:
 
 def whiten(mat: np.ndarray, sig_star: np.ndarray) -> np.ndarray:
     """sigma*^(-1/2) mat sigma*^(-1/2) for the diagonal sigma*; mat may be
-    a stack (..., 2d, 2d).  sigma* itself whitens to I exactly, since
+    a stack.  sigma* itself whitens to I exactly, since
     sqrt(d * d) == d in floating point."""
     d = np.diag(sig_star)
     return mat / np.sqrt(np.outer(d, d))

@@ -6,15 +6,16 @@ third-derivative scale J3 = sup|V'''|.  Acting on a pure Gaussian of
 covariance sigma, the residual generator is bounded in trace norm
 (quantum) and L1 norm (classical) by
 
-    sqrt(5 d^3 / 3) * J3 * ||sigma_xx||^(3/2) / hbar    (quantum)
-    sqrt(3 d^3)     * J3 * ||sigma_xx||^(3/2) / hbar    (classical)
+    sqrt(5 / 3) * J3 * sigma_xx^(3/2) / hbar    (quantum)
+    sqrt(3)     * J3 * sigma_xx^(3/2) / hbar    (classical)
 
-with the operator norm of the position block of sigma.  The single
-constant mu = sqrt(3) d^(3/2) J3 ||sigma_xx||^(3/2) / hbar dominates both
-(it equals the classical constant and exceeds the quantum one).  This
-module computes the bounds for any dimension and, for d = 1, also
-evaluates the residual generators explicitly on grids so that the bounds
-can be checked numerically.  One private helper, `_taylor_residual`, gives
+These are the paper's bounds for d = 1 degree of freedom: their factor
+d^(3/2) is 1, and the operator norm of the position block of sigma is
+sigma_xx.  The single constant mu = sqrt(3) J3 sigma_xx^(3/2) / hbar
+dominates both (it equals the classical constant and exceeds the quantum
+one).  This module computes the bounds and also evaluates the residual
+generators explicitly on grids so that the bounds can be checked
+numerically.  One private helper, `_taylor_residual`, gives
 V - V_quad and V' - V_quad' on a grid for the expansion about the packet
 centre.  The Gaussian tau on those grids comes from the pipeline's own
 rasters: `_kernels.rasterize_density` for the density matrix and
@@ -46,32 +47,21 @@ __all__ = [
 BOUND_TOL = 0.05        # share by which numerics may exceed a bound
 
 
-def _sigma_xx_norm(sigma: np.ndarray, d: int) -> float:
-    # a centred `GaussianState` checks sigma's shape (2d x 2d) and values
-    sigma = GaussianState(np.zeros(2 * d), sigma).cov
-    return float(np.linalg.eigvalsh(sigma[:d, :d]).max())
+def _sigma_xx(sigma: np.ndarray) -> float:
+    # a centred `GaussianState` checks sigma's shape (2 x 2) and values
+    return float(GaussianState(np.zeros(2), sigma).cov[0, 0])
 
 
-def lemma_bound_quantum(sigma, model: HamiltonianModel, hbar: float,
-                        d: int) -> float:
-    """Trace-norm bound sqrt(5 d^3/3) J3 ||sigma_xx||^(3/2) / hbar."""
-    norm = _sigma_xx_norm(sigma, d)
-    return math.sqrt(5.0 * d**3 / 3.0) * model.sup3 * norm**1.5 / hbar
+def lemma_bound_quantum(sigma, model: HamiltonianModel,
+                        hbar: float) -> float:
+    """Trace-norm bound sqrt(5/3) J3 sigma_xx^(3/2) / hbar."""
+    return math.sqrt(5.0 / 3.0) * model.sup3 * _sigma_xx(sigma)**1.5 / hbar
 
 
-def lemma_bound_classical(sigma, model: HamiltonianModel, hbar: float,
-                          d: int) -> float:
-    """L1-norm bound sqrt(3 d^3) J3 ||sigma_xx||^(3/2) / hbar."""
-    norm = _sigma_xx_norm(sigma, d)
-    return math.sqrt(3.0 * d**3) * model.sup3 * norm**1.5 / hbar
-
-
-def _state_1d(alpha, sigma, hbar: float = 1.0) -> GaussianState:
-    """The numerics' Gaussian, validated by `GaussianState`; d = 1 only."""
-    state = GaussianState(alpha, sigma, hbar)
-    if state.d != 1:
-        raise ValueError("numeric check is implemented for d = 1 only")
-    return state
+def lemma_bound_classical(sigma, model: HamiltonianModel,
+                          hbar: float) -> float:
+    """L1-norm bound sqrt(3) J3 sigma_xx^(3/2) / hbar."""
+    return math.sqrt(3.0) * model.sup3 * _sigma_xx(sigma)**1.5 / hbar
 
 
 def _taylor_residual(model: HamiltonianModel, a_x: float, x: np.ndarray):
@@ -89,14 +79,14 @@ def _taylor_residual(model: HamiltonianModel, a_x: float, x: np.ndarray):
 
 def numeric_harmonic_error_quantum(alpha, sigma, model: HamiltonianModel,
                                    hbar: float, grid: np.ndarray) -> float:
-    """Trace norm of the residual generator on a pure Gaussian (d = 1).
+    """Trace norm of the residual generator on a pure Gaussian.
 
     Builds dV = V - V_quad on the position grid, forms the commutator term
     -(i/hbar) [dV, tau] for the Gaussian tau rasterized by
     `_kernels.rasterize_density`, and returns the sum of the absolute
     eigenvalues (trace norm with the grid measure).
     """
-    g = _state_1d(alpha, sigma, hbar)
+    g = GaussianState(alpha, sigma, hbar)
     x = np.asarray(grid, dtype=float)
     dx = x[1] - x[0]
     g.check_covered(x[0], x[-1])
@@ -110,13 +100,13 @@ def numeric_harmonic_error_quantum(alpha, sigma, model: HamiltonianModel,
 
 def numeric_harmonic_error_classical(alpha, sigma, model: HamiltonianModel,
                                      grid) -> float:
-    """L1 norm of the residual generator on a Gaussian phase density (d=1).
+    """L1 norm of the residual generator on a Gaussian phase density.
 
     The residual is tau * (sigma^-1 beta)_p * dV'(x) with dV' the gradient
     mismatch of the quadratic expansion; `grid` is an (x, p) pair of
     cell-centered axes.
     """
-    g = _state_1d(alpha, sigma)
+    g = GaussianState(alpha, sigma)
     x, p = (np.asarray(axis, dtype=float) for axis in grid)
     g.check_covered(x[0], x[-1], 0)
     g.check_covered(p[0], p[-1], 1)
@@ -166,8 +156,8 @@ def harmonic_error_report(alpha, sigma, model: HamiltonianModel, hbar: float,
                           x_grid, p_grid) -> HarmonicErrorReport:
     """Evaluate both bounds and both numerics on the supplied grids."""
     rep = HarmonicErrorReport(
-        bound_quantum=lemma_bound_quantum(sigma, model, hbar, 1),
-        bound_classical=lemma_bound_classical(sigma, model, hbar, 1),
+        bound_quantum=lemma_bound_quantum(sigma, model, hbar),
+        bound_classical=lemma_bound_classical(sigma, model, hbar),
         numeric_quantum=numeric_harmonic_error_quantum(alpha, sigma, model,
                                                        hbar, x_grid),
         numeric_classical=numeric_harmonic_error_classical(

@@ -208,7 +208,7 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
         field_m = mixture_to_phase_field(ens, exp.x, exp.p, supersample=3)
         td = trace_distance(grid_m, g_q)
         l1 = l1_distance(field_m, f_c)
-        eps = theorem_epsilon(scales, t, 1, cfg.z_cap)
+        eps = theorem_epsilon(scales, t, cfg.z_cap)
         times.append(t)
         tds.append(td)
         l1s.append(l1)

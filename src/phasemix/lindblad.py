@@ -206,8 +206,6 @@ def gaussian_to_grid(state: GaussianState, n: int, x_min: float,
     s_pp = (hbar^2/4 + s_xp^2) / s_xx; the grid must cover the state in
     position (`GaussianState.check_covered`).
     """
-    if state.d != 1:
-        raise ValueError("position-grid states are one dimensional")
     if not is_pure_gaussian(state.cov, state.hbar):
         raise ValueError("state is not pure; cannot realize a wavefunction")
     state.check_covered(x_min, x_max)

@@ -45,8 +45,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fokker_planck import PhaseField
-from .gaussian import (PURITY_TOL, GaussianState, nts_eigenvalues, unwhiten,
-                       whiten, window_excess)
+from .gaussian import (GaussianState, is_pure_gaussian, nts_eigenvalues,
+                       unwhiten, whiten, window_excess)
 from .lindblad import DensityMatrixGrid
 from .potentials import HamiltonianModel, hamiltonian_matrix
 from .rng import stream_normals
@@ -142,9 +142,8 @@ class MixtureEnsemble:
         self.covs = np.asarray(self.covs, dtype=float)
         self.blurs = np.asarray(self.blurs, dtype=float)
         m = self.weights.size
-        n = self.alphas.shape[1] if self.alphas.ndim == 2 else 0
-        if self.alphas.shape != (m, n) or self.covs.shape != (m, n, n) \
-                or self.blurs.shape != (m, n, n):
+        if self.alphas.shape != (m, 2) or self.covs.shape != (m, 2, 2) \
+                or self.blurs.shape != (m, 2, 2):
             raise ValueError("inconsistent particle array shapes")
 
     @property
@@ -172,9 +171,7 @@ class MixtureEnsemble:
             raise ValueError("weights must be nonnegative and sum to 1")
         if not np.isfinite(self.blurs).all():
             raise ValueError("a particle blur is not finite")
-        # `purity_defect` for d = 1, where a^T Omega a = det(a) Omega
-        dets = np.linalg.det(self.covs)
-        if not np.abs(dets / (self.hbar / 2.0) ** 2 - 1.0).max() <= PURITY_TOL:
+        if not is_pure_gaussian(self.covs, self.hbar):
             raise ValueError("a particle covariance is not pure")
         lam = nts_eigenvalues(self.covs, sigma_star)
         if not window_excess(lam, z) <= WINDOW_TOL:
@@ -194,7 +191,7 @@ def coherent_ensemble(alpha, scales: ScaleReport, seed: int,
 
 
 def _batch_split_sdot(alphas, sts, model, d_t, scales, z):
-    """Vectorized (S_Z, S_D, flow, F) over all particles (d = 1).
+    """Vectorized (S_Z, S_D, flow, F) over all particles.
 
     Whitened in and out: takes sigma-tilde `sts` and D-tilde `d_t`, and
     returns S_Z-tilde, S_D-tilde and F-tilde, whose entries are

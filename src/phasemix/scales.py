@@ -140,13 +140,14 @@ def step_schedule(t_final: float, dt: float, snapshot_times=None):
                      f"snapshot time {times}")
 
 
-def theorem_epsilon(scales: ScaleReport, t: float, d: int,
+def theorem_epsilon(scales: ScaleReport, t: float,
                     z_cap: Optional[float] = None) -> float:
-    """Correspondence error budget d^(3/2) (t/tau_H) sqrt(hbar/s_H) z^(3/2).
+    """Correspondence error budget (t/tau_H) sqrt(hbar/s_H) z^(3/2).
 
-    Harmonic models return 0 (the local quadratic dynamics are exact).
-    When the squeeze bound is infinite (no diffusion) a finite user cap
-    must be supplied.
+    This is the paper's d^(3/2) (t/tau_H) sqrt(hbar/s_H) z^(3/2) for the
+    package's d = 1 degree of freedom.  Harmonic models return 0 (the
+    local quadratic dynamics are exact).  When the squeeze bound is
+    infinite (no diffusion) a finite user cap must be supplied.
     """
     if not t >= 0:
         raise ValueError("time must be nonnegative")
@@ -154,7 +155,7 @@ def theorem_epsilon(scales: ScaleReport, t: float, d: int,
         return 0.0
     z = budget_z(scales, z_cap)
     small = scales.hbar / scales.s_H
-    return d**1.5 * (t / scales.tau_H) * math.sqrt(small) * z**1.5
+    return (t / scales.tau_H) * math.sqrt(small) * z**1.5
 
 
 def budget_z(scales: ScaleReport, z_cap: Optional[float] = None) -> float:

@@ -1,11 +1,16 @@
 """Helpers of the Gaussian lemma checks; no run calls them.
 
-The moments of quadratic forms under a centred Gaussian, the eigen-pairs
-of a pure covariance, the derivative identity of the Gaussian density,
-random symplectic matrices and pure covariances (tests/test_gaussian.py,
-acceptance 04, 06 and 07), and `split_sdot`, the raw-unit one-particle
-entry to `mixture._batch_split_sdot` (tests/test_mixture.py, acceptance
-04).  The Gaussian density itself is scipy's.
+The package is one-dimensional, but the lemmas hold for d degrees of
+freedom, so the d-general references live here: the symplectic form
+Omega, the coherent covariance `sigma_star_d`, and `symplectic_defect`,
+the deviation of (2/hbar) sigma from symplectic, which at d = 1 equals
+`phasemix.gaussian.purity_defect`.  Beside them: the moments of quadratic
+forms under a centred Gaussian, the eigen-pairs of a pure covariance, the
+derivative identity of the Gaussian density, random symplectic matrices
+and pure covariances (tests/test_gaussian.py, acceptance 04, 06 and 07),
+and `split_sdot`, the raw-unit one-particle entry to
+`mixture._batch_split_sdot` (tests/test_mixture.py, acceptance 04).  The
+Gaussian density itself is scipy's.
 """
 
 import warnings
@@ -15,9 +20,30 @@ from scipy.linalg import expm
 from scipy.stats import multivariate_normal
 
 from phasemix import mixture
-from phasemix.gaussian import (GaussianState, nts_eigenvalues, sigma_star,
-                               symplectic_form, unwhiten, whiten,
-                               window_excess)
+from phasemix.gaussian import (GaussianState, nts_eigenvalues, unwhiten,
+                               whiten, window_excess)
+
+
+def symplectic_form(d: int) -> np.ndarray:
+    """The 2d x 2d antisymmetric form Omega = [[0, I], [-I, 0]], for
+    phase-space vectors ordered (x_1..x_d, p_1..p_d)."""
+    eye = np.eye(d)
+    zero = np.zeros((d, d))
+    return np.block([[zero, eye], [-eye, zero]])
+
+
+def sigma_star_d(a_H: float, hbar: float, d: int) -> np.ndarray:
+    """d-dimensional coherent covariance diag(hbar/(2 a_H) I, hbar a_H/2 I)."""
+    return np.diag(np.concatenate([np.full(d, hbar / (2.0 * a_H)),
+                                   np.full(d, hbar * a_H / 2.0)]))
+
+
+def symplectic_defect(cov: np.ndarray, hbar: float) -> float:
+    """Max-norm deviation of a = 2 cov / hbar from a^T Omega a = Omega."""
+    cov = np.asarray(cov, dtype=float)
+    omega = symplectic_form(cov.shape[0] // 2)
+    a = 2.0 * cov / hbar
+    return float(np.abs(a.T @ omega @ a - omega).max())
 
 
 def gaussian_pdf(beta: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -144,7 +170,7 @@ def random_pure_cov(d: int, hbar: float, a_H: float,
                     rng: np.random.Generator, scale: float = 0.5) -> np.ndarray:
     """Random pure covariance S sigma* S^T with S symplectic."""
     s = random_symplectic(d, rng, scale)
-    return s @ sigma_star(a_H, hbar, d) @ s.T
+    return s @ sigma_star_d(a_H, hbar, d) @ s.T
 
 
 def split_sdot(alpha, sigma, model, diffusion, scales, z):

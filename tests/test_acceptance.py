@@ -17,13 +17,13 @@ import pytest
 
 from gaussian_lemmas import (covariance_eigen_pairs, gaussian_moment,
                              gaussian_moment4, gaussian_moment6,
-                             random_pure_cov, split_sdot)
+                             random_pure_cov, sigma_star_d, split_sdot,
+                             symplectic_form)
 from phasemix.config import ExperimentConfig
 from phasemix.fokker_planck import (evolve_fokker_planck,
                                     gaussian_phase_field, l1_distance,
                                     PhaseField)
-from phasemix.gaussian import (GaussianState, nts_eigenvalues, sigma_star,
-                               symplectic_form, whiten)
+from phasemix.gaussian import GaussianState, nts_eigenvalues, whiten
 from phasemix.harmonic_error import harmonic_error_report
 from phasemix.harness import run_breakdown_demo, run_comparison
 from phasemix.langevin import (ensemble_histogram, evolve_langevin_ensemble,
@@ -288,7 +288,7 @@ class TestAcceptance:
                 worst_pair = max(worst_pair, abs(lo * hi / target - 1.0))
             # whitened pure spectra come in reciprocal pairs, so the
             # upper squeeze bound holds iff the lower one does
-            lam = np.sort(nts_eigenvalues(cov, sigma_star(a_h, hbar, d)))
+            lam = np.sort(nts_eigenvalues(cov, sigma_star_d(a_h, hbar, d)))
             for i in range(d):
                 worst_recip = max(worst_recip,
                                   abs(lam[i] * lam[2 * d - 1 - i] - 1.0))

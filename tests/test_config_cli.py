@@ -19,6 +19,7 @@ from phasemix.harness import (emit_plots, run_breakdown_demo, run_comparison,
 from phasemix.lindblad import trace_distance
 from phasemix.mixture import coherent_ensemble, mixture_to_density_grid
 from phasemix.scales import compute_scales
+from test_acceptance import well_benchmark_config
 
 HARMONIC_INI = """
 [model]
@@ -482,9 +483,11 @@ def _readme_blocks(lang):
 
 def test_readme_matches_the_config_and_the_cli():
     # a renamed or removed option or subcommand fails here until the
-    # README follows
+    # README follows; the example is acceptance 02's config, so that test
+    # runs it
     (ini,) = _readme_blocks("ini")
-    parse_config(ini)
+    assert parse_config(ini) == well_benchmark_config(blur_cap=32.0,
+                                                      margin=0.10)
     commands = {line.split()[1] for block in _readme_blocks("sh")
                 for line in block.splitlines()
                 if line.startswith("phasemix ")}

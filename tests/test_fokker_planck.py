@@ -383,6 +383,25 @@ class TestSolver:
         with pytest.raises(RuntimeError, match="step 1: boundary mass leak"):
             evolve_fokker_planck(f0, HARMONIC, NO_DIFF, 0.1, 0.01)
 
+    @pytest.mark.parametrize("poisoned, aborted", [(3, 3), (4, 5)])
+    def test_undershoot_aborts_at_the_next_snapshot(self, monkeypatch,
+                                                    poisoned, aborted):
+        # the field's minimum is read at snapshots (steps 3, 5 and 10)
+        diffuse, calls = _kernels.diffuse, []
+
+        def poison(vals, rx, rp):
+            diffuse(vals, rx, rp)
+            calls.append(None)
+            if len(calls) == poisoned:
+                vals[4, 28] = -1e-5     # far from the packet, inside the box
+        monkeypatch.setattr(_kernels, "diffuse", poison)
+        x, p = grid(32)
+        f0 = gaussian_phase_field([0.0, 0.0], 0.25 * np.eye(2), x, p)
+        with pytest.raises(RuntimeError,
+                           match=f"step {aborted}: field undershoots to"):
+            evolve_fokker_planck(f0, HARMONIC, NO_DIFF, 0.1, 0.01,
+                                 snapshot_times=[0.03, 0.05, 0.1])
+
     def test_positivity_tolerance(self):
         x, p = grid(256)
         f0 = gaussian_phase_field([2.0, 0.0], 0.25 * np.eye(2), x, p)

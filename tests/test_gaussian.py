@@ -13,14 +13,17 @@ from gaussian_lemmas import (
     gaussian_moment6,
     random_pure_cov,
     random_symplectic,
+    sigma_star_d,
+    symplectic_defect,
+    symplectic_form,
 )
 from phasemix.gaussian import (
+    PURITY_TOL,
     GaussianState,
     is_pure_gaussian,
     nts_eigenvalues,
     purity_defect,
     sigma_star,
-    symplectic_form,
     window_excess,
 )
 from phasemix.mixture import WINDOW_TOL
@@ -40,7 +43,8 @@ class TestPurity:
     def test_sigma_star_is_pure_any_aspect(self):
         for a_H in (0.3, 1.0, 7.5):
             assert is_pure_gaussian(sigma_star(a_H, hbar=1.0), hbar=1.0)
-            assert is_pure_gaussian(sigma_star(a_H, hbar=0.01, d=2), hbar=0.01)
+            assert symplectic_defect(sigma_star_d(a_H, 0.01, 2), 0.01) \
+                <= PURITY_TOL
 
     def test_doubled_vacuum_is_mixed(self):
         assert not is_pure_gaussian(np.eye(2), hbar=1.0)
@@ -54,7 +58,28 @@ class TestPurity:
         rng = np.random.default_rng(0)
         for _ in range(20):
             cov = random_pure_cov(2, 1.0, 1.7, rng)
-            assert purity_defect(cov, 1.0) < 1e-10
+            assert symplectic_defect(cov, 1.0) < 1e-10
+
+    def test_purity_defect_is_the_symplectic_defect(self):
+        # a 2 x 2 matrix a has a^T Omega a = det(a) Omega, so the
+        # determinant formula is the symplectic condition
+        rng = np.random.default_rng(5)
+        for k in range(100):
+            hbar = rng.uniform(0.05, 2.0)
+            cov = random_pure_cov(1, hbar, rng.uniform(0.2, 5.0), rng)
+            if k % 2:
+                cov = cov * rng.uniform(0.5, 2.0)
+            assert purity_defect(cov, hbar) == pytest.approx(
+                symplectic_defect(cov, hbar), abs=1e-12)
+
+    def test_purity_defect_of_a_stack_is_its_worst(self):
+        pure = sigma_star(1.3, 0.5)
+        stack = np.stack([pure, 1.5 * pure, pure])
+        assert purity_defect(stack, 0.5) == pytest.approx(1.25, rel=1e-12)
+        asym = stack.copy()
+        asym[2, 0, 1] += 1e-3
+        with pytest.raises(ValueError, match="not symmetric"):
+            purity_defect(asym, 0.5)
 
 
 class TestNTS:
@@ -206,6 +231,19 @@ def test_state_refuses_non_finite(mean, cov_00, hbar, fragment):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=fragment):
             GaussianState(mean, [[cov_00, 0.0], [0.0, 1.0]], hbar)
+
+
+@pytest.mark.parametrize("mean, cov, fragment", [
+    (np.zeros(4), np.eye(4), "mean must be one phase-space point"),
+    ([0.0], np.eye(2), "mean must be one phase-space point"),
+    ([[0.0, 0.0]], np.eye(2), "mean must be one phase-space point"),
+    ([0.0, 0.0], np.eye(4), "covariance must be 2 x 2"),
+    ([0.0, 0.0], np.eye(2)[None], "covariance must be 2 x 2"),
+], ids=["four-vector", "one-entry", "row", "4x4-cov", "stacked-cov"])
+def test_state_refuses_a_shape(mean, cov, fragment):
+    # the package is one-dimensional: a state is one (x, p) pair
+    with pytest.raises(ValueError, match=fragment):
+        GaussianState(mean, cov)
 
 
 @pytest.mark.parametrize("lo, hi, axis, covered", [

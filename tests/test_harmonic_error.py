@@ -40,23 +40,23 @@ def grids(alpha, sigma, n=512, span=8.0):
 class TestBounds:
     def test_harmonic_is_zero(self):
         sig = pure_cov(0.5, 1.0)
-        assert lemma_bound_quantum(sig, HARMONIC, 1.0, 1) == 0.0
-        assert lemma_bound_classical(sig, HARMONIC, 1.0, 1) == 0.0
+        assert lemma_bound_quantum(sig, HARMONIC, 1.0) == 0.0
+        assert lemma_bound_classical(sig, HARMONIC, 1.0) == 0.0
 
     def test_three_halves_scaling(self):
         s1 = np.diag([1.0, 0.25])
         s4 = np.diag([4.0, 0.25])
-        b1 = lemma_bound_quantum(s1, CUBIC, 1.0, 1)
-        b4 = lemma_bound_quantum(s4, CUBIC, 1.0, 1)
+        b1 = lemma_bound_quantum(s1, CUBIC, 1.0)
+        b4 = lemma_bound_quantum(s4, CUBIC, 1.0)
         assert b4 == pytest.approx(8.0 * b1, rel=1e-12)
 
     def test_unit_substitution(self):
         # sup|V'''| = 1 for the cubic-perturbed model with eps = 1/6
         assert CUBIC.sup3 == pytest.approx(1.0)
         sig = np.diag([1.0, 0.25])
-        assert lemma_bound_quantum(sig, CUBIC, 1.0, 1) == \
+        assert lemma_bound_quantum(sig, CUBIC, 1.0) == \
             pytest.approx(np.sqrt(5.0 / 3.0), rel=1e-12)
-        assert lemma_bound_classical(sig, CUBIC, 1.0, 1) == \
+        assert lemma_bound_classical(sig, CUBIC, 1.0) == \
             pytest.approx(np.sqrt(3.0), rel=1e-12)
 
     def test_constant_ratio(self):
@@ -64,19 +64,13 @@ class TestBounds:
         for _ in range(10):
             sig = pure_cov(rng.uniform(0.1, 2.0), rng.uniform(0.5, 2.0),
                            rng.uniform(0, np.pi))
-            q = lemma_bound_quantum(sig, CUBIC, 1.0, 1)
-            c = lemma_bound_classical(sig, CUBIC, 1.0, 1)
+            q = lemma_bound_quantum(sig, CUBIC, 1.0)
+            c = lemma_bound_classical(sig, CUBIC, 1.0)
             assert c / q == pytest.approx(np.sqrt(9.0 / 5.0), rel=1e-12)
-
-    def test_dimension_scaling(self):
-        sig = np.eye(6)
-        b1 = lemma_bound_quantum(np.eye(2), CUBIC, 1.0, 1)
-        b3 = lemma_bound_quantum(sig, CUBIC, 1.0, 3)
-        assert b3 == pytest.approx(3.0**1.5 * b1, rel=1e-12)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            lemma_bound_quantum(np.eye(4), CUBIC, 1.0, 1)
+            lemma_bound_quantum(np.eye(4), CUBIC, 1.0)
 
     @pytest.mark.parametrize("sigma, fragment", [
         ([[np.nan, 0.0], [0.0, 1.0]], "covariance must be finite"),
@@ -88,7 +82,7 @@ class TestBounds:
         # for a matrix that is no covariance
         for bound in (lemma_bound_quantum, lemma_bound_classical):
             with pytest.raises(ValueError, match=fragment):
-                bound(np.array(sigma), CUBIC, 1.0, 1)
+                bound(np.array(sigma), CUBIC, 1.0)
 
 
 class TestNumericQuantum:
@@ -116,7 +110,7 @@ class TestNumericQuantum:
         sig = pure_cov(s, hbar)
         x, _ = grids([0.0, 0.0], sig, n=1024, span=10.0)
         got = numeric_harmonic_error_quantum([0.0, 0.0], sig, CUBIC, hbar, x)
-        assert got == pytest.approx(lemma_bound_quantum(sig, CUBIC, hbar, 1),
+        assert got == pytest.approx(lemma_bound_quantum(sig, CUBIC, hbar),
                                     rel=1e-5)
 
     def test_independent_of_position_momentum_correlation(self):
@@ -159,7 +153,7 @@ class TestNumericClassical:
         sig = pure_cov(s, hbar)
         x, p = grids([0.0, 0.0], sig, n=512, span=9.0)
         got = numeric_harmonic_error_classical([0.0, 0.0], sig, CUBIC, (x, p))
-        bound = lemma_bound_classical(sig, CUBIC, hbar, 1)
+        bound = lemma_bound_classical(sig, CUBIC, hbar)
         assert 0.0 < got <= bound * 1.05
         # non-vacuous: the bound is within a modest factor of the numeric
         assert got / bound > 1e-3

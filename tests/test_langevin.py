@@ -198,10 +198,12 @@ def test_harmonic_diffusion_covariance_oracle():
     ([0.0, 0.0], [[np.nan, 0.0], [0.0, 0.2]], "covariance must be finite"),
     ([0.0, 0.0], [[0.2, 0.3], [0.3, 0.2]],
      "covariance must be positive definite"),
-], ids=["nan-mean", "nan-cov", "indefinite-cov"])
+    (np.zeros(4), np.eye(4), "mean must be one phase-space point"),
+], ids=["nan-mean", "nan-cov", "indefinite-cov", "four-vector"])
 def test_sample_refuses_bad_gaussian(mean, cov, fragment):
     # the Gaussian is a GaussianState; unchecked, a nan mean gave nan
-    # particles and an indefinite covariance numpy's LinAlgError
+    # particles, an indefinite covariance numpy's LinAlgError, and a
+    # two-dimensional Gaussian a matmul error naming no input
     with pytest.raises(ValueError, match=fragment):
         sample_gaussian_ensemble(mean, cov, 10, seed=0)
 

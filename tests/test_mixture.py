@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from gaussian_lemmas import random_pure_cov, split_sdot
+from gaussian_lemmas import random_pure_cov, split_sdot, symplectic_form
 from phasemix import _kernels, mixture
 from phasemix.fokker_planck import l1_distance
 from phasemix.gaussian import (
     nts_eigenvalues,
-    symplectic_form,
     unwhiten,
     whiten,
 )
@@ -636,6 +635,16 @@ class TestValidation:
         ens = coherent_ensemble([0.0, 0.0], sc, seed=0)
         ens.covs = 2.0 * ens.covs
         with pytest.raises(ValueError, match="pure"):
+            ens.validate(sc.sigma_star, effective_z(sc, z_cap=2.0))
+
+    def test_asymmetric_particle_covariance_refused(self):
+        # det = sxx spp - sxp spx ignores sxp = 5e-3 when spx = 0, so a
+        # determinant test alone accepts this particle
+        diff = DiffusionSpec(0.05, 0.05, 1.0)
+        sc = compute_scales(HARMONIC, diff)
+        ens = coherent_ensemble([0.0, 0.0], sc, seed=0, particles=2)
+        ens.covs[1, 0, 1] = 5e-3
+        with pytest.raises(ValueError, match="not symmetric"):
             ens.validate(sc.sigma_star, effective_z(sc, z_cap=2.0))
 
     @pytest.mark.parametrize("excess, inside", [(2e-6, False), (5e-7, True)])

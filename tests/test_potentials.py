@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phasemix.gaussian import symplectic_form
+from gaussian_lemmas import symplectic_form
 from phasemix.harmonic_error import _taylor_residual
 from phasemix.potentials import (
     Cosine,

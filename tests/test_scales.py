@@ -111,27 +111,27 @@ class TestTheoremEpsilon:
     def test_substitution_at_strong_diffusion(self):
         rep = self._report(1e-4, 1e-2)
         assert rep.z == 1.0
-        assert theorem_epsilon(rep, rep.tau_H, 1) == pytest.approx(1e-2,
+        assert theorem_epsilon(rep, rep.tau_H) == pytest.approx(1e-2,
                                                                    rel=1e-12)
 
     def test_weak_diffusion_scaling(self):
         # halving D0 below hbar/s_H scales epsilon by 2^(3/2)
-        e1 = theorem_epsilon(self._report(1e-4, 0.5e-4), 1.0, 1)
-        e2 = theorem_epsilon(self._report(1e-4, 0.25e-4), 1.0, 1)
+        e1 = theorem_epsilon(self._report(1e-4, 0.5e-4), 1.0)
+        e2 = theorem_epsilon(self._report(1e-4, 0.25e-4), 1.0)
         assert e2 / e1 == pytest.approx(2.0**1.5, rel=1e-10)
 
     def test_zero_time(self):
-        assert theorem_epsilon(self._report(1e-4, 1e-2), 0.0, 1) == 0.0
+        assert theorem_epsilon(self._report(1e-4, 1e-2), 0.0) == 0.0
 
     def test_harmonic_exact(self):
         rep = compute_scales(_model_harmonic(), DiffusionSpec(0.1, 0.1, 1.0))
-        assert theorem_epsilon(rep, 5.0, 1) == 0.0
+        assert theorem_epsilon(rep, 5.0) == 0.0
 
     def test_no_diffusion_requires_cap(self):
         rep = compute_scales(_model_pendulum(), DiffusionSpec(0.0, 0.0, 1e-4))
         with pytest.raises(ValueError, match="z_cap"):
-            theorem_epsilon(rep, 1.0, 1)
-        assert theorem_epsilon(rep, 1.0, 1, z_cap=4.0) == pytest.approx(
+            theorem_epsilon(rep, 1.0)
+        assert theorem_epsilon(rep, 1.0, z_cap=4.0) == pytest.approx(
             1e-2 * 8.0, rel=1e-12)
 
     @given(t1=st.floats(0.0, 10.0), t2=st.floats(0.0, 10.0),
@@ -141,10 +141,10 @@ class TestTheoremEpsilon:
         lo_t, hi_t = sorted([t1, t2])
         lo_d, hi_d = sorted([d01, d02])
         rep = self._report(1e-4, hi_d)
-        assert (theorem_epsilon(rep, lo_t, 1)
-                <= theorem_epsilon(rep, hi_t, 1) + 1e-15)
-        assert (theorem_epsilon(self._report(1e-4, hi_d), 1.0, 1)
-                <= theorem_epsilon(self._report(1e-4, lo_d), 1.0, 1) + 1e-15)
+        assert (theorem_epsilon(rep, lo_t)
+                <= theorem_epsilon(rep, hi_t) + 1e-15)
+        assert (theorem_epsilon(self._report(1e-4, hi_d), 1.0)
+                <= theorem_epsilon(self._report(1e-4, lo_d), 1.0) + 1e-15)
 
 
 class TestThreshold:
@@ -159,7 +159,7 @@ class TestThreshold:
             # re-evaluate the bound at exactly that diffusion strength
             rep2 = compute_scales(_model_pendulum(),
                                   DiffusionSpec(1e9, d0_min, rep.hbar))
-            assert theorem_epsilon(rep2, 5.0 * rep.tau_H, 1) == pytest.approx(
+            assert theorem_epsilon(rep2, 5.0 * rep.tau_H) == pytest.approx(
                 eps, rel=1e-10)
 
     def test_floor_gives_hbar_over_s(self):
@@ -249,7 +249,7 @@ def _well_scales():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: theorem_epsilon(_well_scales(), math.nan, 1), "time"),
+    (lambda: theorem_epsilon(_well_scales(), math.nan), "time"),
     (lambda: diffusion_threshold(_well_scales(), math.nan, 1.0, 1), "epsilon"),
     (lambda: diffusion_threshold(_well_scales(), 1.0, math.nan, 1), "time"),
     # a negative t used to come back as a complex number
