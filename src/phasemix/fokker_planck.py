@@ -17,7 +17,7 @@ aborts it too.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

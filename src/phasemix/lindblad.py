@@ -20,11 +20,24 @@ phase times the P-dissipator decay in the momentum-pair representation.
 Each factor is exactly completely positive and exactly trace preserving,
 so the step is unconditionally stable and second order in dt.
 
-The momentum-pair representation is taken with one 2-D transform:
-fft2(rho)[k, m] holds the ket momentum p_k and the bra momentum
-p_{-m mod n}, so the momentum factor is built once on that layout and a
-step is half_pos * rho -> fft2 -> * full_mom -> ifft2 -> * half_pos,
-with no index flip at run time.
+The density path carries the real n x n matrix s = Re rho + Im rho,
+from which a Hermitian rho is ((1+i)s + (1-i)s^T)/2, and steps it with
+half-size real transforms.  A position factor f has f^T = conj f, so
+rho -> f rho is s -> Re f s + Im f s^T, taken in row blocks of
+BLOCK_ROWS.  The momentum factor M is built once in the fft2 layout
+(fft2(rho)[k, m] holds the ket momentum p_k and the bra momentum
+p_{-m mod n}); on T = rfft2(s) its step is T -> a T + b T^T, with
+a = (M + M^T)/2 and b = i(M^T - M)/2 cut to the (n, n//2 + 1)
+half-spectrum, and T^T is gathered from T by the symmetry
+fft2(s)[k, m] = conj fft2(s)[-k, -m] of a real s.  Between snapshots
+the half position factors of adjacent steps fold into one full factor,
+so a step is rfft2 -> a T + b T^T -> irfft2 -> * full_pos.  At a
+snapshot rho is built as Re rho = (s + s^T)/2, Im rho = (s - s^T)/2, so
+it is Hermitian exactly, and the next steps start from s rebuilt from
+that rho: a run resumed from a snapshot, with the remaining snapshot
+times and the same step, repeats the unbroken run bit for bit.  A rho0
+that is not Hermitian to HERM_TOL is refused, since s keeps only the
+Hermitian part.  No step runs past the last snapshot.
 
 A `DensityMatrixGrid` is a state only: the kinetic mass comes from the
 `HamiltonianModel`, and the grid's hbar must match the `DiffusionSpec`'s.
@@ -77,7 +90,8 @@ TRACE_TOL = 1e-8        # the trace error
 EIG_TOL = 1e-6          # and the negative eigenvalue may reach these
 EDGE_CELLS = 2          # edge_mass sums this many cells at either end
 FLUSH_BELOW = 1e-150    # check_invariants zeroes smaller parts of its copy
-BLOCK_ROWS = 64         # row block of the snapshot checks' temporaries
+BLOCK_ROWS = 64         # row block of the position step and of the
+                        # snapshot checks' temporaries
 
 
 @dataclass
@@ -260,6 +274,71 @@ def _pure_column(rho0: DensityMatrixGrid, diffusion: DiffusionSpec):
     return psi if defect <= 1e-12 * np.abs(rho).max() else None
 
 
+def _momentum_mix(grid: DensityMatrixGrid, model: HamiltonianModel,
+                  diffusion: DiffusionSpec, dt: float):
+    """(a, b) = ((M + M^T)/2, i(M^T - M)/2) cut to the (n, n//2 + 1)
+    half-spectrum, M the full momentum factor in the fft2 layout: the
+    momentum step of rho = ((1+i)s + (1-i)s^T)/2 is T -> a T + b T^T on
+    T = rfft2(s), with T^T = fft2(s)^T[:, :n//2 + 1]."""
+    mom = np.exp(_momentum_factor(grid, model, diffusion) * dt)
+    h = grid.n // 2 + 1
+    return ((mom[:, :h] + mom.T[:, :h]) * 0.5,
+            (mom.T[:, :h] - mom[:, :h]) * 0.5j)
+
+
+def _momentum_step(s: np.ndarray, mix, t, out: np.ndarray) -> None:
+    """The momentum step s -> out: rfft2 -> a T + b T^T -> irfft2, with
+    (a, b) = mix and T, T^T in the (n, n//2 + 1) buffers t."""
+    (a, b), (u, u_tr) = mix, t
+    n, h = a.shape
+    np.fft.rfft2(s, out=u)
+    # u_tr = fft2(s)^T[:, :h]: its first h rows are u[:h]^T, and fft2(s)
+    # of a real s has entry [k, m] = conj u[-k mod n, n - m] for m >= h
+    u_tr[:h] = u[:h].T
+    np.conjugate(u[0, n - h:0:-1], out=u_tr[h:, 0])
+    np.conjugate(u[:n - h:-1, n - h:0:-1].T, out=u_tr[h:, 1:])
+    u_tr *= b
+    u *= a
+    u += u_tr
+    np.fft.ifft(u, axis=0, out=u)
+    np.fft.irfft(u, n, axis=1, out=out)
+
+
+def _position_step(s: np.ndarray, f: np.ndarray, out: np.ndarray) -> None:
+    """rho -> f rho for a factor with f^T = conj f, on s: out = Re f s +
+    Im f s^T, in row blocks of BLOCK_ROWS."""
+    f_re, f_im, b = f.real, f.imag, BLOCK_ROWS
+    for r in range(0, s.shape[0], b):
+        blk = out[r:r + b]
+        np.multiply(f_re[r:r + b], s[r:r + b], out=blk)
+        blk += f_im[r:r + b] * s[:, r:r + b].T
+
+
+def _hermitian(s: np.ndarray) -> np.ndarray:
+    """rho = ((1+i)s + (1-i)s^T)/2 as Re rho = (s + s^T)/2 and
+    Im rho = (s - s^T)/2, Hermitian exactly."""
+    rho = np.empty(s.shape, dtype=complex)
+    np.add(s, s.T, out=rho.real)
+    np.subtract(s, s.T, out=rho.imag)
+    rho *= 0.5
+    return rho
+
+
+def _density_steps(s: np.ndarray, k: int, mix, half_pos: np.ndarray,
+                   full_pos: np.ndarray) -> np.ndarray:
+    """k density steps on s, which they overwrite; returns the s they
+    reach.  The half position factors between steps are folded into full
+    ones.  The work buffers die with the call, so none outlives a
+    snapshot."""
+    work = np.empty_like(s)
+    t = np.empty_like(mix[0]), np.empty_like(mix[0])
+    _position_step(s, half_pos, out=work)
+    for j in range(1, k + 1):
+        _momentum_step(work, mix, t, out=s)
+        _position_step(s, half_pos if j == k else full_pos, out=work)
+    return work
+
+
 def evolve_lindblad(rho0: DensityMatrixGrid, model: HamiltonianModel,
                     diffusion: DiffusionSpec, t_final: float, dt: float,
                     snapshot_times=None, edge_tol: float = 1e-6):
@@ -270,6 +349,7 @@ def evolve_lindblad(rho0: DensityMatrixGrid, model: HamiltonianModel,
     forms psi psi^+ only at snapshots.  Every snapshot is checked against
     the Hermiticity / trace / positivity invariants and the
     boundary-occupation bound; violations abort with the step index.
+    Any other rho0 must be Hermitian to HERM_TOL (ValueError otherwise).
     """
     if diffusion.hbar != rho0.hbar:
         raise ValueError("diffusion spec and grid disagree on hbar")
@@ -303,19 +383,31 @@ def evolve_lindblad(rho0: DensityMatrixGrid, model: HamiltonianModel,
                 out.append(snapshot(i, np.outer(psi, psi.conj())))
         return out
 
+    defect = rho0.hermiticity_defect()
+    if not defect <= HERM_TOL:
+        raise ValueError(f"rho0 is not Hermitian: defect {defect:.3g} "
+                         f"exceeds {HERM_TOL:g}")
+    # the mix first: its full-size M is freed before the position factors
+    # are built
+    mix = _momentum_mix(rho0, model, diffusion, dt)
     half_pos = np.exp(_position_factor(rho0, model, diffusion) * 0.5 * dt)
-    full_mom = np.exp(_momentum_factor(rho0, model, diffusion) * dt)
-    # each step writes only to the new array its first product makes, so
-    # the transforms and later products run in place and rho0.rho is
-    # never overwritten
-    rho = rho0.rho
-    for i in range(1, n_steps + 1):
-        rho = sfft.fft2(half_pos * rho, overwrite_x=True)
-        rho *= full_mom
-        rho = sfft.ifft2(rho, overwrite_x=True)
-        rho *= half_pos
-        if i in snap_steps:
-            out.append(snapshot(i, rho.copy()))
+    full_pos = half_pos * half_pos
+    # steps past the last snapshot would change nothing that is returned
+    steps = sorted(snap_steps - {0})
+    rho, done = rho0.rho, 0
+    for i in steps:
+        s = _density_steps(rho.real + rho.imag, i - done, mix, half_pos,
+                           full_pos)
+        if i == steps[-1]:
+            # freed now, the factors leave heap the last snapshot can
+            # reuse; freed after it, they would stay resident below it
+            del mix, half_pos, full_pos
+        rho = _hermitian(s)
+        # s is freed before the snapshot checks; the next segment rebuilds
+        # it from the Hermitian rho
+        del s
+        out.append(snapshot(i, rho))
+        done = i
     return out
 
 

@@ -32,8 +32,7 @@ from phasemix.lindblad import (DensityMatrixGrid, gaussian_to_grid,
                                wigner_transform_grid)
 from phasemix.mixture import MixtureEnsemble, effective_z, evolve_mixture
 from phasemix.potentials import (Cosine, CubicHarmonic, DoubleWell,
-                                 HamiltonianModel, Harmonic,
-                                 hamiltonian_matrix)
+                                 HamiltonianModel, hamiltonian_matrix)
 from phasemix.scales import (DiffusionSpec, compute_scales,
                              diffusion_threshold, ehrenfest_time,
                              physical_example_time)

@@ -12,10 +12,9 @@ import pytest
 import phasemix
 from phasemix import cli, harness
 from phasemix.cli import main
-from phasemix.config import ExperimentConfig, parse_config
+from phasemix.config import parse_config
 from phasemix.fokker_planck import MASS_TOL
-from phasemix.harness import (emit_plots, run_breakdown_demo, run_comparison,
-                              ComparisonReport)
+from phasemix.harness import emit_plots, run_comparison, ComparisonReport
 from phasemix.lindblad import trace_distance
 from phasemix.mixture import coherent_ensemble, mixture_to_density_grid
 from phasemix.scales import compute_scales
@@ -59,6 +58,37 @@ def test_every_all_entry_exists(name):
     missing = [n for n in getattr(module, "__all__", ())
                if not hasattr(module, n)]
     assert not missing
+
+
+def _unused_imports(path):
+    """Names that the file at `path` imports and never reads; a name
+    listed in its `__all__` counts as read."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.partition(".")[0]
+                         for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return imported - read
+
+
+def test_every_import_is_read():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    unused = [f"{os.path.relpath(os.path.join(d, f), root)}: {name}"
+              for part in (os.path.join("src", "phasemix"), "tests", "tools")
+              for d, _, files in os.walk(os.path.join(root, part))
+              for f in sorted(files) if f.endswith(".py")
+              for name in sorted(_unused_imports(os.path.join(d, f)))]
+    assert unused == []
 
 
 # the tests' generator oracle; it reads two private factor builders, so it

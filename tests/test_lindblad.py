@@ -640,3 +640,74 @@ class TestPathsMatchReference:
         for (_, gm), (_, e1), (_, e2) in zip(*run):
             assert np.abs(gm.rho - (w1 * e1.rho + w2 * e2.rho)).max() \
                 <= 1e-12
+
+
+DIFFUSIVE = DiffusionSpec(0.02, 0.05, 1.0)
+
+
+class TestRealDensityStep:
+    """The density path steps s = Re rho + Im rho with real transforms;
+    odd n has no Nyquist column, so the gather of rfft2(s)^T differs."""
+
+    @pytest.mark.parametrize("n", [64, 63])
+    @pytest.mark.parametrize("diff", [DIFFUSIVE, NO_DIFF],
+                             ids=["diffusive", "noiseless-mixed"])
+    def test_matches_reference(self, n, diff):
+        g1 = coherent_grid(mean=(1.0, -0.5), n=n)
+        g2 = coherent_grid(mean=(-1.5, 0.5), n=n)
+        g0 = DensityMatrixGrid(g1.x, 0.3 * g1.rho + 0.7 * g2.rho, 1.0)
+        args = (g0, HARMONIC, diff, 1.0, 0.01)
+        snaps = [0.25, 0.5, 1.0]
+        traj = evolve_lindblad(*args, snapshot_times=snaps)
+        assert_matches_reference(
+            traj, evolve_density_reference(*args, snapshot_times=snaps))
+        assert [g.hermiticity_defect() for _, g in traj[1:]] == [0.0] * 3
+
+    @pytest.mark.parametrize("n", [64, 63])
+    def test_steps_on_a_random_hermitian_rho(self, n):
+        # a random rho fills every frequency, the Nyquist row and column
+        # included, which a smooth state leaves at round-off
+        g = random_grid(n, n)
+        s = g.rho.real + g.rho.imag
+        dt = 0.01
+        mom = np.exp(lindblad._momentum_factor(g, HARMONIC, DIFFUSIVE) * dt)
+        mix = lindblad._momentum_mix(g, HARMONIC, DIFFUSIVE, dt)
+        buffers = np.empty_like(mix[0]), np.empty_like(mix[0])
+        step = np.empty_like(s)
+        lindblad._momentum_step(s, mix, buffers, out=step)
+        assert np.abs(lindblad._hermitian(step)
+                      - sfft.ifft2(mom * sfft.fft2(g.rho))).max() \
+            <= 1e-12 * np.abs(g.rho).max()
+        pos = np.exp(lindblad._position_factor(g, HARMONIC, DIFFUSIVE) * dt)
+        lindblad._position_step(s, pos, out=step)
+        assert np.abs(lindblad._hermitian(step) - pos * g.rho).max() \
+            <= 1e-12 * np.abs(g.rho).max()
+
+    @pytest.mark.parametrize("n", [64, 63])
+    def test_resume_from_any_snapshot_is_exact(self, n):
+        # dt = 2^-7 divides every remaining time exactly, so a resumed run
+        # takes the unbroken run's step.  Each snapshot segment starts
+        # from s rebuilt from the snapshot and applies the half position
+        # factor at both ends, so the resumed run's segments are the
+        # remaining ones
+        g0 = coherent_grid(mean=(1.0, -0.5), n=n)
+        dt = 2.0**-7
+        snaps = [0.25, 0.5, 0.75, 1.0]
+        traj = evolve_lindblad(g0, HARMONIC, DIFFUSIVE, 1.0, dt,
+                               snapshot_times=snaps)
+        for k, (t, g) in enumerate(traj[1:-1], start=1):
+            again = evolve_lindblad(g, HARMONIC, DIFFUSIVE, 1.0 - t, dt,
+                                    snapshot_times=[u - t for u in snaps
+                                                    if u > t])
+            assert [u + t for u, _ in again] == [u for u, _ in traj[k:]]
+            for (_, a), (_, b) in zip(again, traj[k:]):
+                assert np.array_equal(a.rho, b.rho)
+
+    @pytest.mark.parametrize("diff", [DIFFUSIVE, NO_DIFF],
+                             ids=["diffusive", "noiseless"])
+    def test_non_hermitian_rho0_refused(self, diff):
+        # s keeps only a Hermitian rho, so the defect would be dropped
+        with pytest.raises(ValueError,
+                           match=r"^rho0 is not Hermitian: defect 0\.001 "):
+            evolve_lindblad(random_grid(64, 5, defect=1e-3), HARMONIC, diff,
+                            0.1, 0.01)
